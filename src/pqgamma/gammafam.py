@@ -16,8 +16,8 @@ from .qcore import (
     DomainError,
     PQParams,
     SeriesControl,
+    _geometric_series,
     log_q_bracket,
-    log_q_pochhammer_inf,
     q_bracket,
 )
 
@@ -72,19 +72,23 @@ def log_gamma_p(x, p):
 
 
 def log_gamma_q(x, q, ctl=SeriesControl()):
-    """ln Gamma_q(x) via Jackson's products; 0<q<1 and q>1 branches."""
+    """ln Gamma_q(x) from Jackson's products, for 0<q<1 and q>1 (in r = 1/q).
+
+    ln((r;r)_inf/(r^x;r)_inf) is summed as one series of terms g(r^j) with |g(z)|/z
+    nondecreasing, so the tail after the last summed term t is at most |t| r/(1-r).
+    ctl.rel_tol applies to this combined sum, not to the two products separately.
+    """
     if x <= 0:
         raise DomainError(f"x must be positive, got {x!r}")
     if q <= 0 or q == 1.0:
         raise DomainError(f"q must be positive and != 1, got {q!r}")
+    lr = -abs(math.log(q))  # ln r
+    c = math.exp(lr) * math.expm1((x - 1.0) * lr)  # r^x - r
+    # terms ln((1 - r^{j+1})/(1 - r^{x+j})) = log1p(r^j (r^x - r)/(1 - r^{x+j})) at y = j ln r
+    s = _geometric_series(lambda y: np.log1p(np.exp(y) * c / -np.expm1(y + x * lr)), 0, lr, ctl)[0]
     if q < 1.0:
-        num = log_q_pochhammer_inf(q, q, ctl)
-        den = log_q_pochhammer_inf(q**x, q, ctl)
-        return num - den + (1.0 - x) * math.log1p(-q)
-    qi = 1.0 / q
-    num = log_q_pochhammer_inf(qi, qi, ctl)
-    den = log_q_pochhammer_inf(q**-x, qi, ctl)
-    return num - den + (1.0 - x) * math.log(q - 1.0) + 0.5 * x * (x - 1.0) * math.log(q)
+        return s + (1.0 - x) * math.log1p(-q)
+    return s + (1.0 - x) * math.log(q - 1.0) + 0.5 * x * (x - 1.0) * math.log(q)
 
 
 def log_gamma_classical(x):

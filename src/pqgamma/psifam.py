@@ -8,12 +8,14 @@ series form of the integral against the discrete measure with masses
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DomainError, PQParams, SeriesControl, TruncationError, q_bracket
+from .qcore import _CHUNK, DomainError, PQParams, SeriesControl, TruncationError, q_bracket
+from .qcore import _geometric_series
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -92,49 +94,44 @@ def psi_pq_deriv(x, params: PQParams, order, ctl=SeriesControl()):
 
 
 def psi_p(x, p):
-    """psi_p(x) = ln p - sum_{k=0}^{p} 1/(x+k)."""
+    """psi_p(x) = ln p - sum_{k=0}^{p} 1/(x+k), in chunks of _CHUNK terms to bound memory."""
     if x <= 0:
         raise DomainError(f"x must be positive, got {x!r}")
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError(f"p must be a positive integer, got {p!r}")
-    return math.log(p) - float((1.0 / (x + np.arange(0, p + 1, dtype=float))).sum())
-
-
-def _geometric_sum(x, q, n, ctl, inverse):
-    """sum_{m>=1} m^n q^{±mx} / (1 - q^{±m}) with blockwise truncation.
-
-    inverse=False sums q^{mx}/(1-q^m) (needs 0<q<1); inverse=True sums
-    q^{-mx}/(1-q^{-m}) (needs q>1).
-    """
-    lq = math.log(q) if not inverse else -math.log(q)
-    # lq < 0 in both cases; exponential decay rate is x*|lq|
-    peak = n / (x * -lq) if n > 0 else 0.0
     total = 0.0
-    m0 = 1
-    block = 1 << 16
-    while m0 <= ctl.max_terms:
-        m1 = min(m0 + block, ctl.max_terms + 1)
-        ms = np.arange(m0, m1, dtype=float)
-        terms = ms**n * np.exp(ms * (x * lq)) / (1.0 - np.exp(ms * lq)) if n else np.exp(
-            ms * (x * lq)
-        ) / (1.0 - np.exp(ms * lq))
-        total += float(terms.sum())
-        if ms[-1] > peak and abs(terms[-1]) < ctl.rel_tol * max(abs(total), 1e-300):
-            return total
-        m0 = m1
-    raise TruncationError(f"psi_q series (x={x}, q={q}, n={n}) hit max_terms={ctl.max_terms}")
+    for k0 in range(0, p + 1, _CHUNK):
+        total += float((1.0 / (x + np.arange(k0, min(k0 + _CHUNK, p + 1), dtype=float))).sum())
+    return math.log(p) - total
+
+
+@functools.lru_cache(maxsize=16)
+def _polylog_neg(n):
+    """y -> Li_{-n}(z) = z A_n(z)/(1-z)^{n+1} at z = e^y, A_n Eulerian (DLMF 25.12), 1 - z
+    from expm1.  Li_{-n}(z)/z = sum_k k^n z^{k-1} is nondecreasing, as the series kernel needs."""
+    coeffs = [float(sum((-1) ** i * math.comb(n + 1, i) * (k + 1 - i) ** n for i in range(k + 1)))
+              for k in range(max(n, 1))]
+
+    def li(y):
+        z = np.exp(y)
+        return z * np.polyval(coeffs, z) / (-np.expm1(y)) ** (n + 1)
+
+    return li
 
 
 def psi_q(x, q, ctl=SeriesControl()):
-    """psi_q(x) for 0<q<1 and q>1 via the n-series representations."""
+    """psi_q(x) for 0<q<1 and q>1 from S = sum_{k>=0} Li_0(r^{x+k}), r = min(q, 1/q).
+
+    Li_0(z)/z is nondecreasing, so the tail after the last summed term t is at most
+    t r/(1-r); S is summed until that certified bound is <= ctl.rel_tol * S."""
     if x <= 0:
         raise DomainError(f"x must be positive, got {x!r}")
     if q <= 0 or q == 1.0:
         raise DomainError(f"q must be positive and != 1, got {q!r}")
+    lr = -abs(math.log(q))  # ln r
+    s = _geometric_series(_polylog_neg(0), x * lr, lr, ctl)[0]
     if q < 1.0:
-        s = _geometric_sum(x, q, 0, ctl, inverse=False)
         return -math.log1p(-q) + math.log(q) * s
-    s = _geometric_sum(x, q, 0, ctl, inverse=True)
     return -math.log(q - 1.0) + math.log(q) * (x - 0.5 - s)
 
 
@@ -144,6 +141,10 @@ def psi_q_deriv(x, q, order, ctl=SeriesControl()):
     0<q<1: (ln q)^{n+1} sum m^n q^{mx}/(1-q^m).
     q>1, n=1: ln q (1 + sum m q^{-mx}/(1-q^{-mx}));
     q>1, n>=2: (-1)^{n-1} (ln q)^{n+1} sum m^n q^{-mx}/(1-q^{-mx}).
+
+    The m-sums are summed as sum_{k>=0} Li_{-n}(q^{x+k}) (q<1) and sum_{j>=1} Li_{-n}(q^{-xj})
+    (q>1).  Li_{-n}(z)/z is nondecreasing, so with r = q or q^{-x} the tail after the last
+    summed term t is at most t r/(1-r); each sum stops once that is <= ctl.rel_tol * sum.
     """
     n = order.n if isinstance(order, PsiDerivOrder) else int(order)
     if x <= 0:
@@ -154,31 +155,11 @@ def psi_q_deriv(x, q, order, ctl=SeriesControl()):
         raise DomainError(f"q must be positive and != 1, got {q!r}")
     lq = math.log(q)
     if q < 1.0:
-        s = _geometric_sum(x, q, n, ctl, inverse=False)
-        return lq ** (n + 1) * s
-    s = _inverse_x_sum(x, q, n, ctl)
+        return lq ** (n + 1) * _geometric_series(_polylog_neg(n), x * lq, lq, ctl)[0]
+    s = _geometric_series(_polylog_neg(n), -x * lq, -x * lq, ctl)[0]
     if n == 1:
         return lq * (1.0 + s)
     return (-1.0) ** (n - 1) * lq ** (n + 1) * s
-
-
-def _inverse_x_sum(x, q, n, ctl):
-    """sum_{m>=1} m^n q^{-mx} / (1 - q^{-mx}) for q > 1."""
-    lq = -math.log(q)
-    peak = n / (x * -lq)
-    total = 0.0
-    m0 = 1
-    block = 1 << 12
-    while m0 <= ctl.max_terms:
-        m1 = min(m0 + block, ctl.max_terms + 1)
-        ms = np.arange(m0, m1, dtype=float)
-        e = np.exp(ms * (x * lq))
-        terms = ms**n * e / (1.0 - e)
-        total += float(terms.sum())
-        if ms[-1] > peak and abs(terms[-1]) < ctl.rel_tol * max(abs(total), 1e-300):
-            return total
-        m0 = m1
-    raise TruncationError(f"psi_q (q>1) series (x={x}, q={q}, n={n}) hit max_terms={ctl.max_terms}")
 
 
 def psi_classical(x):

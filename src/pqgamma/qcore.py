@@ -77,13 +77,39 @@ def log_q_factorial(p, q):
     return float(log_q_bracket(np.arange(1, p + 1), q).sum())
 
 
-_BLOCK = 1 << 20
+_CHUNK = 1 << 14  # most terms evaluated in one numpy call
+
+
+def _geometric_series(g, y0, lr, ctl):
+    """sum_{j>=0} g(y0 + j lr) for 0 < r = e^lr < 1; returns (value, terms, bound).
+
+    g maps y = ln z to the terms, so that it can take 1 - z from -expm1(y).  Every
+    g used has one sign and |g(z)|/z nondecreasing, so |g(rz)| <= r |g(z)| and the
+    tail after the last summed term t is at most bound = |t| r/(1-r).  As |sum| >= |t_0|,
+    J = ceil(ln(rel_tol (1-r)) / ln r) terms always meet rel_tol; J > max_terms raises
+    TruncationError before any evaluation.  Chunks of at most _CHUNK terms are summed
+    until bound <= rel_tol * |sum|.
+    """
+    need = max(1, math.ceil((math.log(ctl.rel_tol) + math.log(-math.expm1(lr))) / lr))
+    if need > ctl.max_terms:
+        raise TruncationError(f"series in r={math.exp(lr)!r} needs {need} terms for its tail "
+                              f"bound, over max_terms={ctl.max_terms}")
+    ratio = 1.0 / math.expm1(-lr)  # r/(1-r)
+    total, done = 0.0, 0
+    while done < need:
+        n = min(_CHUNK, need - done)
+        terms = g(y0 + lr * np.arange(done, done + n, dtype=float))
+        total += float(terms.sum())
+        done += n
+        bound = abs(float(terms[-1])) * ratio
+        if bound <= ctl.rel_tol * abs(total):
+            break
+    return total, done, bound
 
 
 def log_q_pochhammer_inf(a, q, ctl=SeriesControl()):
-    """ln (a;q)_inf = sum_{j>=0} ln(1 - a q^j), truncated by its geometric tail bound.
-
-    Stops at J once a q^{J+1} / ((1-q)(1 - a q^{J+1})) < rel_tol * |partial sum|.
+    """ln (a;q)_inf = sum_{j>=0} ln(1 - a q^j), summed until its tail bound |t| q/(1-q)
+    after the last summed term t (valid as -ln(1-z)/z is nondecreasing) is <= rel_tol * |sum|.
     """
     if not (0.0 <= a < 1.0):
         raise DomainError(f"a must lie in [0,1), got {a!r}")
@@ -91,18 +117,4 @@ def log_q_pochhammer_inf(a, q, ctl=SeriesControl()):
         raise DomainError(f"q must lie strictly inside (0,1), got {q!r}")
     if a == 0.0:
         return 0.0
-    lq = math.log(q)
-    total = 0.0
-    j0 = 0
-    while j0 < ctl.max_terms:
-        j1 = min(j0 + _BLOCK, ctl.max_terms)
-        js = np.arange(j0, j1, dtype=float)
-        total += float(np.log1p(-a * np.exp(js * lq)).sum())
-        aq = a * math.exp(j1 * lq)  # a q^{J+1}
-        tail = aq / ((1.0 - q) * (1.0 - aq))
-        if tail < ctl.rel_tol * abs(total):
-            return total
-        j0 = j1
-    raise TruncationError(
-        f"(a;q)_inf with a={a}, q={q}: tail bound not met within {ctl.max_terms} factors"
-    )
+    return _geometric_series(lambda y: np.log1p(-np.exp(y)), math.log(a), math.log(q), ctl)[0]

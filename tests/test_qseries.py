@@ -1,0 +1,120 @@
+"""The certified geometric-series kernel behind log Gamma_q, psi_q and psi_q^(n)."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from pqgamma import qcore
+from pqgamma.gammafam import log_gamma_q
+from pqgamma.psifam import _polylog_neg, psi_q, psi_q_deriv
+from pqgamma.qcore import SeriesControl, TruncationError, _geometric_series, log_q_pochhammer_inf
+
+
+def lerch_mp(s, L, y, head=40, em_terms=30):
+    """sum_{k>=0} Li_s(exp(L (y + k))) for L < 0 in mpmath: a direct head, then the
+    Euler-Maclaurin tail, using d/dt Li_s(e^{Lt}) = L Li_{s-1}(e^{Lt})."""
+    L, y = mpmath.mpf(L), mpmath.mpf(y)
+    total = mpmath.fsum(mpmath.polylog(s, mpmath.exp(L * (y + k))) for k in range(head))
+    u = mpmath.exp(L * (y + head))
+    tail = -mpmath.polylog(s + 1, u) / L + mpmath.polylog(s, u) / 2
+    for j in range(1, em_terms):
+        tail -= (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * L ** (2 * j - 1)
+                 * mpmath.polylog(s - 2 * j + 1, u))
+    return total + tail
+
+
+def ref_log_gamma_q(x, q):
+    """Jackson's products, ln(r;r)_inf - ln(r^x;r)_inf = sum_k Li_1(r^{x+k}) - Li_1(r^{1+k})."""
+    with mpmath.workdps(30):
+        x, q = mpmath.mpf(x), mpmath.mpf(q)
+        L = mpmath.log(q) if q < 1 else -mpmath.log(q)
+        s = lerch_mp(1, L, x) - lerch_mp(1, L, 1)
+        if q < 1:
+            return float(s + (1 - x) * mpmath.log(1 - q))
+        return float(s + (1 - x) * mpmath.log(q - 1) + x * (x - 1) / 2 * mpmath.log(q))
+
+
+def ref_psi_q(x, q):
+    with mpmath.workdps(30):
+        x, q = mpmath.mpf(x), mpmath.mpf(q)
+        if q < 1:
+            return float(-mpmath.log(1 - q) + mpmath.log(q) * lerch_mp(0, mpmath.log(q), x))
+        s = lerch_mp(0, -mpmath.log(q), x)
+        return float(-mpmath.log(q - 1) + mpmath.log(q) * (x - mpmath.mpf(1) / 2 - s))
+
+
+@pytest.mark.parametrize("q", [0.999, 0.9999, 1.001])
+@pytest.mark.parametrize("x", [0.5, 3.7])
+def test_near_q_one_against_reference(x, q):
+    assert psi_q(x, q) == pytest.approx(ref_psi_q(x, q), rel=1e-12)
+    assert log_gamma_q(x, q) == pytest.approx(ref_log_gamma_q(x, q), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("x,q", [(0.5, 0.9), (3.7, 0.9999), (0.5, 1.001), (3.7, 2.0)])
+def test_psi_q_deriv_against_reference(x, q, n):
+    """Both branches' m-sums, sum_m m^n w^m/(1 - w^m) with w = q^x or q^{-x}, as Li_{-n} sums."""
+    with mpmath.workdps(30):
+        lq = mpmath.log(q)
+        if q < 1:
+            ref = lq ** (n + 1) * lerch_mp(-n, lq, x)
+        else:
+            s = lerch_mp(-n, -x * lq, 1)
+            ref = lq * (1 + s) if n == 1 else (-1) ** (n - 1) * lq ** (n + 1) * s
+    assert psi_q_deriv(x, q, n) == pytest.approx(float(ref), rel=1e-12)
+
+
+def log1m(y):  # ln(1 - z) = -Li_1(z), the terms of ln (a;q)_inf
+    return np.log1p(-np.exp(y))
+
+
+TAIL_CASES = [(s, g, x, q)
+              for s, g in ((0, _polylog_neg(0)), (1, log1m))
+              for x, q in ((0.5, 0.5), (2.0, 0.9), (0.3, 0.99), (5.0, 0.999))]
+# Li_{-3} terms fall far faster than r at first, so only small sums leave a
+# tail above the rounding of the computed sum
+TAIL_CASES += [(-3, _polylog_neg(3), 0.5, 0.5), (-3, _polylog_neg(3), 2.0, 0.9)]
+
+
+@pytest.mark.parametrize("s,g,x,q", TAIL_CASES)
+def test_bound_covers_true_tail(s, g, x, q):
+    L = math.log(q)
+    value, terms, bound = _geometric_series(g, x * L, L, SeriesControl(rel_tol=1e-6))
+    with mpmath.workdps(30):
+        exact = lerch_mp(s, L, x)
+        if s == 1:
+            exact = -exact
+        tail = float(abs(exact - value))
+    rounding = 1e-14 * abs(value)  # of the computed sum, against which the tail is measured
+    assert tail > 100 * rounding
+    assert tail <= bound + rounding
+    assert bound <= 1e-6 * abs(value)
+
+
+def test_terms_match_up_front_count():
+    ctl = SeriesControl()
+    r = 0.5
+    need = math.ceil(math.log(ctl.rel_tol * (1 - r)) / math.log(r))
+    _, terms, _ = _geometric_series(_polylog_neg(0), 0.5 * math.log(r), math.log(r), ctl)
+    assert terms == need == 48
+
+
+def test_term_cap_raises_before_any_chunk(monkeypatch):
+    kernel_calls, chunks = [], []
+
+    def spy(g, *args):
+        kernel_calls.append(args)
+
+        def counted(y):
+            chunks.append(len(y))
+            return g(y)
+
+        return _geometric_series(counted, *args)
+
+    monkeypatch.setattr(qcore, "_geometric_series", spy)
+    with pytest.raises(TruncationError):
+        log_q_pochhammer_inf(0.9, 1 - 1e-12, SeriesControl(max_terms=10**8))
+    assert len(kernel_calls) == 1
+    assert chunks == []
