@@ -21,9 +21,8 @@ from .gammafam import (
 )
 from .monocheck import (
     GridSpec,
-    _LCG,
+    MonotonicityReport,
     check_cm,
-    check_decreasing,
     check_lcm,
     check_log_convex,
 )
@@ -31,11 +30,12 @@ from .paperfuncs import (
     AffineInequalitySpec,
     RatioSpec,
     TwoPointSpec,
+    check_young_bracket,
     f1,
     f_theorem32,
     h_beta,
-    lemma_sign_check,
     log_G_pq,
+    run_sec4_campaign,
     validate_ratio_spec,
 )
 from .psifam import (
@@ -45,7 +45,7 @@ from .psifam import (
     psi_pq_deriv,
     psi_q,
 )
-from .qcore import DomainError, PQParams, SeriesControl, TruncationError, q_bracket
+from .qcore import DomainError, PQParams, SeriesControl, TruncationError
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -85,9 +85,10 @@ def _need(args, names, fn):
 
 
 def _series_ctl_for_q(q):
-    """Budget the q-series generously as q -> 1, where terms decay like q^j."""
-    if 0 < q < 1:
-        return SeriesControl(rel_tol=1e-14, max_terms=max(10**6, int(120.0 / (1.0 - q))))
+    """Budget the q-series generously as r = min(q, 1/q) -> 1, where terms decay like r^j."""
+    r = min(q, 1.0 / q) if q > 0 else 0.0  # the callee rejects q <= 0 and q == 1
+    if r < 1:
+        return SeriesControl(rel_tol=1e-14, max_terms=max(10**6, int(120.0 / (1.0 - r))))
     return SeriesControl(rel_tol=1e-14, max_terms=10**6)
 
 
@@ -98,66 +99,51 @@ def _parse_vector(text, flag):
         raise UsageError(f"--{flag} expects comma-separated reals, got {text!r}")
 
 
+def _pq(args, p=3, q=0.5):
+    return PQParams(args.p if args.p is not None else p, args.q if args.q is not None else q)
+
+
+def _ratio_spec(args):
+    return RatioSpec(_parse_vector(args.a, "a"), _parse_vector(args.b, "b"))
+
+
+def _affine_spec(args):
+    coeffs = _parse_vector(args.abc, "abc")
+    if len(coeffs) != 6:
+        raise UsageError(f"--abc expects six comma-separated reals, got {args.abc!r}")
+    return AffineInequalitySpec(*coeffs)
+
+
 # ---------------------------------------------------------------------------
 # eval
 
+# --fn name -> (flags, value(args)); the flags are both required and echoed, in order
+FUNCTIONS = {
+    "gamma_pq": (("x", "p", "q"), lambda a: math.exp(log_gamma_pq(a.x, _pq(a)))),
+    "gamma_p": (("x", "p"), lambda a: math.exp(log_gamma_p(a.x, a.p))),
+    "gamma_q": (("x", "q"),
+                lambda a: math.exp(log_gamma_q(a.x, a.q, _series_ctl_for_q(a.q)))),
+    "gamma": (("x",), lambda a: math.exp(log_gamma_classical(a.x))),
+    "psi_pq": (("x", "p", "q"), lambda a: psi_pq(a.x, _pq(a))),
+    "psi_pq_deriv": (("x", "p", "q", "n"), lambda a: psi_pq_deriv(a.x, _pq(a), a.n)),
+    "psi_p": (("x", "p"), lambda a: psi_p(a.x, a.p)),
+    "psi_q": (("x", "q"), lambda a: psi_q(a.x, a.q, _series_ctl_for_q(a.q))),
+    "psi": (("x",), lambda a: psi_classical(a.x)),
+    "G_pq": (("x", "p", "q", "a", "b"),
+             lambda a: math.exp(log_G_pq(a.x, _ratio_spec(a), _pq(a)))),
+    "f32": (("x", "p", "q", "variant"), lambda a: f_theorem32(a.x, _pq(a), a.variant)),
+    "h_beta": (("x", "p", "q", "s", "t", "beta"),
+               lambda a: h_beta(a.x, TwoPointSpec(a.s, a.t, a.beta), _pq(a))),
+    "f1": (("x", "p", "q", "abc"), lambda a: f1(a.x, _affine_spec(a), _pq(a))),
+}
+
 
 def _eval_value(args):
-    fn = args.fn
-    if fn == "gamma_pq":
-        _need(args, ["x", "p", "q"], fn)
-        return math.exp(log_gamma_pq(args.x, PQParams(args.p, args.q))), {
-            "x": args.x, "p": args.p, "q": args.q}
-    if fn == "gamma_p":
-        _need(args, ["x", "p"], fn)
-        return math.exp(log_gamma_p(args.x, args.p)), {"x": args.x, "p": args.p}
-    if fn == "gamma_q":
-        _need(args, ["x", "q"], fn)
-        return math.exp(log_gamma_q(args.x, args.q, _series_ctl_for_q(args.q))), {
-            "x": args.x, "q": args.q}
-    if fn == "gamma":
-        _need(args, ["x"], fn)
-        return math.exp(log_gamma_classical(args.x)), {"x": args.x}
-    if fn == "psi_pq":
-        _need(args, ["x", "p", "q"], fn)
-        return psi_pq(args.x, PQParams(args.p, args.q)), {"x": args.x, "p": args.p, "q": args.q}
-    if fn == "psi_pq_deriv":
-        _need(args, ["x", "p", "q", "n"], fn)
-        return psi_pq_deriv(args.x, PQParams(args.p, args.q), args.n), {
-            "x": args.x, "p": args.p, "q": args.q, "n": args.n}
-    if fn == "psi_p":
-        _need(args, ["x", "p"], fn)
-        return psi_p(args.x, args.p), {"x": args.x, "p": args.p}
-    if fn == "psi_q":
-        _need(args, ["x", "q"], fn)
-        return psi_q(args.x, args.q, _series_ctl_for_q(args.q)), {"x": args.x, "q": args.q}
-    if fn == "psi":
-        _need(args, ["x"], fn)
-        return psi_classical(args.x), {"x": args.x}
-    if fn == "G_pq":
-        _need(args, ["x", "p", "q", "a", "b"], fn)
-        spec = RatioSpec(_parse_vector(args.a, "a"), _parse_vector(args.b, "b"))
-        return math.exp(log_G_pq(args.x, spec, PQParams(args.p, args.q))), {
-            "x": args.x, "p": args.p, "q": args.q, "a": args.a, "b": args.b}
-    if fn == "f32":
-        _need(args, ["x", "p", "q"], fn)
-        return f_theorem32(args.x, PQParams(args.p, args.q), args.variant), {
-            "x": args.x, "p": args.p, "q": args.q, "variant": args.variant}
-    if fn == "h_beta":
-        _need(args, ["x", "p", "q", "s", "t", "beta"], fn)
-        spec = TwoPointSpec(args.s, args.t, args.beta)
-        return h_beta(args.x, spec, PQParams(args.p, args.q)), {
-            "x": args.x, "p": args.p, "q": args.q, "s": args.s, "t": args.t,
-            "beta": args.beta}
-    if fn == "f1":
-        _need(args, ["x", "p", "q", "abc"], fn)
-        coeffs = _parse_vector(args.abc, "abc")
-        if len(coeffs) != 6:
-            raise UsageError(f"--abc expects six comma-separated reals, got {args.abc!r}")
-        spec = AffineInequalitySpec(*coeffs)
-        return f1(args.x, spec, PQParams(args.p, args.q)), {
-            "x": args.x, "p": args.p, "q": args.q, "abc": args.abc}
-    raise UsageError(f"unknown function {fn!r}")
+    if args.fn not in FUNCTIONS:
+        raise UsageError(f"unknown function {args.fn!r}")
+    flags, value = FUNCTIONS[args.fn]
+    _need(args, flags, args.fn)
+    return value(args), {name: getattr(args, name) for name in flags}
 
 
 def cmd_eval(args):
@@ -195,16 +181,6 @@ def cmd_table(args):
 # ---------------------------------------------------------------------------
 # verify
 
-CAMPAIGNS = (
-    "logconvex-gamma",
-    "cm-psi-prime",
-    "cm-G",
-    "lcm-f32",
-    "lcm-h",
-    "ineq-lemma21",
-    "ineq-sec4",
-)
-
 
 def _report_record(campaign, case, report, grid, tol_scale, extra=None):
     rec = {
@@ -239,189 +215,89 @@ def _grid(args, lo, hi, points=64, max_order=6):
     )
 
 
+# Each campaign runner returns (case, report, grid, extra) tuples, one per record.
+
+
+def _verify_logconvex_gamma(args, tol_scale):
+    params = _pq(args, 4, 0.6)
+    grid = _grid(args, 0.5, 8.0)
+    report = check_log_convex(lambda x: math.exp(log_gamma_pq(x, params)), grid, tol_scale)
+    return [("gamma_pq", report, grid, {"p": params.p, "q": params.q})]
+
+
+def _verify_cm_psi_prime(args, tol_scale):
+    params = _pq(args)
+    grid = _grid(args, 0.5, 6.0)
+    report = check_cm(lambda x: psi_pq_deriv(x, params, 1), grid, tol_scale)
+    return [("psi_pq_prime", report, grid, {"p": params.p, "q": params.q})]
+
+
+def _verify_cm_G(args, tol_scale):
+    if args.a is None or args.b is None:
+        raise UsageError("campaign cm-G needs --a and --b shift vectors")
+    spec = _ratio_spec(args)
+    violation = validate_ratio_spec(spec)
+    if violation is not None:
+        raise UsageError(f"invalid shift vectors: {violation}")
+    params = _pq(args)
+    grid = _grid(args, 0.5, 6.0)
+    report = check_cm(lambda x: math.exp(log_G_pq(x, spec, params)), grid, tol_scale)
+    return [("G_pq", report, grid, {"p": params.p, "q": params.q, "a": args.a, "b": args.b})]
+
+
+def _verify_lcm_f32(args, tol_scale):
+    params = _pq(args)
+    grid = _grid(args, 0.5, 6.0)
+    return [(variant, check_lcm(lambda x: f_theorem32(x, params, variant), grid, tol_scale),
+             grid, {"p": params.p, "q": params.q})
+            for variant in ("as_defined", "as_proved")]
+
+
+def _verify_lcm_h(args, tol_scale):
+    params = _pq(args)
+    spec = TwoPointSpec(args.s if args.s is not None else 2.0,
+                        args.t if args.t is not None else 1.0,
+                        args.beta if args.beta is not None else 0.5)
+    grid = _grid(args, 0.6, 5.0)
+    report = check_lcm(lambda x: h_beta(x, spec, params), grid, tol_scale)
+    return [("h_beta", report, grid, {"p": params.p, "q": params.q, "s": spec.s,
+                                      "t": spec.t, "beta": spec.beta})]
+
+
+def _verify_lemma21(args, tol_scale):
+    grid = _grid(args, 0.0, 5.0, max_order=0)
+    return [("young_bracket", check_young_bracket(grid), grid, None)]
+
+
+def _verify_sec4(args, tol_scale):
+    params = _pq(args)
+    result = run_sec4_campaign(params, samples=args.samples, seed=args.seed)
+    report = MonotonicityReport(result["verdict"], result["min_slack"], result["witness"],
+                                result["tolerance"], result["evaluations"], args.seed)
+    grid = GridSpec(0.0, 1.0, result["grid_points"], max_order=0, seed=args.seed)
+    return [("f1_double_inequality", report, grid,
+             {"samples": result["samples"], "qualified": result["qualified"],
+              "skipped": result["skipped"], "p": params.p, "q": params.q})]
+
+
+CAMPAIGNS = {
+    "logconvex-gamma": _verify_logconvex_gamma,
+    "cm-psi-prime": _verify_cm_psi_prime,
+    "cm-G": _verify_cm_G,
+    "lcm-f32": _verify_lcm_f32,
+    "lcm-h": _verify_lcm_h,
+    "ineq-lemma21": _verify_lemma21,
+    "ineq-sec4": _verify_sec4,
+}
+
+
 def cmd_verify(args):
-    campaign = args.campaign
-    tol_scale = args.tol_scale
-    records = []
-    exit_code = 0
-
-    if campaign == "logconvex-gamma":
-        params = PQParams(args.p if args.p is not None else 4,
-                          args.q if args.q is not None else 0.6)
-        grid = _grid(args, 0.5, 8.0)
-        report = check_log_convex(lambda x: math.exp(log_gamma_pq(x, params)), grid, tol_scale)
-        records.append(_report_record(campaign, "gamma_pq", report, grid, tol_scale,
-                                      {"p": params.p, "q": params.q}))
-        exit_code = 0 if report.passed else CHECK_FAILED
-
-    elif campaign == "cm-psi-prime":
-        params = PQParams(args.p if args.p is not None else 3,
-                          args.q if args.q is not None else 0.5)
-        grid = _grid(args, 0.5, 6.0)
-        report = check_cm(lambda x: psi_pq_deriv(x, params, 1), grid, tol_scale)
-        records.append(_report_record(campaign, "psi_pq_prime", report, grid, tol_scale,
-                                      {"p": params.p, "q": params.q}))
-        exit_code = 0 if report.passed else CHECK_FAILED
-
-    elif campaign == "cm-G":
-        if args.a is None or args.b is None:
-            raise UsageError("campaign cm-G needs --a and --b shift vectors")
-        spec = RatioSpec(_parse_vector(args.a, "a"), _parse_vector(args.b, "b"))
-        violation = validate_ratio_spec(spec)
-        if violation is not None:
-            raise UsageError(f"invalid shift vectors: {violation}")
-        params = PQParams(args.p if args.p is not None else 3,
-                          args.q if args.q is not None else 0.5)
-        grid = _grid(args, 0.5, 6.0)
-        report = check_cm(lambda x: math.exp(log_G_pq(x, spec, params)), grid, tol_scale)
-        records.append(_report_record(campaign, "G_pq", report, grid, tol_scale,
-                                      {"p": params.p, "q": params.q, "a": args.a, "b": args.b}))
-        exit_code = 0 if report.passed else CHECK_FAILED
-
-    elif campaign == "lcm-f32":
-        params = PQParams(args.p if args.p is not None else 3,
-                          args.q if args.q is not None else 0.5)
-        grid = _grid(args, 0.5, 6.0)
-        passes = []
-        for variant in ("as_defined", "as_proved"):
-            report = check_lcm(lambda x: f_theorem32(x, params, variant), grid, tol_scale)
-            passes.append(report.passed)
-            records.append(_report_record(campaign, variant, report, grid, tol_scale,
-                                          {"p": params.p, "q": params.q}))
-        # the statement and the proof define different functions; the check
-        # succeeds if either reading is logarithmically completely monotonic
-        exit_code = 0 if any(passes) else CHECK_FAILED
-
-    elif campaign == "lcm-h":
-        params = PQParams(args.p if args.p is not None else 3,
-                          args.q if args.q is not None else 0.5)
-        spec = TwoPointSpec(args.s if args.s is not None else 2.0,
-                            args.t if args.t is not None else 1.0,
-                            args.beta if args.beta is not None else 0.5)
-        grid = _grid(args, 0.6, 5.0)
-        report = check_lcm(lambda x: h_beta(x, spec, params), grid, tol_scale)
-        records.append(_report_record(campaign, "h_beta", report, grid, tol_scale,
-                                      {"p": params.p, "q": params.q, "s": spec.s,
-                                       "t": spec.t, "beta": spec.beta}))
-        exit_code = 0 if report.passed else CHECK_FAILED
-
-    elif campaign == "ineq-lemma21":
-        points = args.points if args.points is not None else 64
-        rng = _LCG(args.seed)
-        tol = 1e-14
-        best_slack = math.inf
-        witness = (0.0, 0.0, 0.0)
-        count = points**2
-        for _ in range(count):
-            x = 5.0 * rng.uniform()
-            y = 5.0 * rng.uniform()
-            alpha = rng.uniform()
-            q = 0.05 + 0.9 * rng.uniform()
-            beta = 1.0 - alpha
-            lhs = q_bracket(1.0 + x, q) ** alpha * q_bracket(1.0 + y, q) ** beta
-            rhs = q_bracket(1.0 + alpha * x + beta * y, q)
-            slack = rhs - lhs
-            if slack < best_slack:
-                best_slack = slack
-                witness = (x, y, alpha)
-        verdict = "pass" if best_slack >= -tol else "fail"
-        records.append({
-            "campaign": campaign, "case": "young_bracket", "verdict": verdict,
-            "min_slack": best_slack, "w0": witness[0], "w1": witness[1],
-            "w2": witness[2], "tolerance": tol, "evaluations": 2 * count,
-            "seed": args.seed, "lo": 0.0, "hi": 5.0, "points": points,
-            "max_order": 0, "tol_scale": tol_scale,
-        })
-        exit_code = 0 if verdict == "pass" else CHECK_FAILED
-
-    elif campaign == "ineq-sec4":
-        params = PQParams(args.p if args.p is not None else 3,
-                          args.q if args.q is not None else 0.5)
-        result = run_sec4_campaign(params, samples=args.samples, seed=args.seed)
-        records.append({
-            "campaign": campaign, "case": "f1_double_inequality",
-            "verdict": result["verdict"], "min_slack": result["min_slack"],
-            "w0": result["witness"][0], "w1": result["witness"][1],
-            "w2": result["witness"][2], "tolerance": result["tolerance"],
-            "evaluations": result["evaluations"], "seed": args.seed,
-            "lo": 0.0, "hi": 1.0, "points": result["grid_points"],
-            "max_order": 0, "tol_scale": tol_scale,
-            "samples": result["samples"], "qualified": result["qualified"],
-            "skipped": result["skipped"], "p": params.p, "q": params.q,
-        })
-        exit_code = 0 if result["verdict"] == "pass" else CHECK_FAILED
-
-    else:
-        raise UsageError(f"unknown campaign {campaign!r}")
-
-    _emit(records, args.format, args.out)
-    return exit_code
-
-
-_SEC4_GRID_POINTS = 21
-_SEC4_TOL = 1e-10
-
-
-def sample_affine_specs(samples, seed):
-    """Seeded stream of candidate six-real specs with ordered affine forms on [0,1]."""
-    rng = _LCG(seed)
-    out = []
-    for _ in range(samples):
-        a = 0.2 + 2.8 * rng.uniform()
-        b = 0.1 + 1.9 * rng.uniform()
-        d = a + 2.0 * rng.uniform()
-        e = b + 2.0 * rng.uniform()
-        c = 0.1 + 1.9 * rng.uniform()
-        f = 0.1 + 1.9 * rng.uniform()
-        out.append(AffineInequalitySpec(a, b, c, d, e, f))
-    return out
-
-
-def run_sec4_campaign(params, samples=1000, seed=42):
-    """Gate seeded affine specs on the lemma hypotheses, then test that every
-    qualifying sample gives a decreasing ratio and the double inequality on [0,1]."""
-    xs = [i / (_SEC4_GRID_POINTS - 1) for i in range(_SEC4_GRID_POINTS)]
-    qualified = skipped = 0
-    evaluations = 0
-    best_slack = math.inf
-    witness = (0.0, 0.0, 0.0)
-    for spec in sample_affine_specs(samples, seed):
-        gate = None
-        for which in ("L42", "L43"):
-            if all(lemma_sign_check(spec, params, x, which).hypotheses_hold for x in xs):
-                gate = which
-                break
-        evaluations += 2 * len(xs)
-        if gate is None:
-            skipped += 1
-            continue
-        qualified += 1
-        vals = [f1(x, spec, params) for x in xs]
-        evaluations += len(xs)
-        for i, x in enumerate(xs):
-            # monotone decrease along the grid
-            if i + 1 < len(xs):
-                slack = vals[i] - vals[i + 1]
-                if slack < best_slack:
-                    best_slack = slack
-                    witness = (x, spec.a, spec.b)
-            # double inequality: f1(1) <= f1(x) <= f1(0)
-            for slack in (vals[i] - vals[-1], vals[0] - vals[i]):
-                if slack < best_slack:
-                    best_slack = slack
-                    witness = (x, spec.a, spec.b)
-    verdict = "pass" if (best_slack >= -_SEC4_TOL and qualified > 0) else "fail"
-    return {
-        "verdict": verdict,
-        "min_slack": best_slack if qualified else 0.0,
-        "witness": witness,
-        "tolerance": _SEC4_TOL,
-        "evaluations": evaluations,
-        "samples": samples,
-        "qualified": qualified,
-        "skipped": skipped,
-        "grid_points": _SEC4_GRID_POINTS,
-    }
+    results = CAMPAIGNS[args.campaign](args, args.tol_scale)
+    _emit([_report_record(args.campaign, case, report, grid, args.tol_scale, extra)
+           for case, report, grid, extra in results], args.format, args.out)
+    # lcm-f32: the statement and the proof define different functions; the check
+    # succeeds if either reading is logarithmically completely monotonic
+    return 0 if any(report.passed for _, report, _, _ in results) else CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +308,9 @@ CORNERS = ("p-to-q", "q-to-p", "p-gamma", "q-gamma", "psi-diagram")
 _GAP_TOL = 1e-10  # noise floor of the long log-sums at large p
 
 
-def _ladder(args, default):
+def _ladder(args):
     if args.ladder is None:
-        return list(default) if default is not None else None
+        return None
     return [float(v) for v in args.ladder.split(",")]
 
 
@@ -501,7 +377,7 @@ def gaps_nonincreasing(rows, tol=_GAP_TOL):
 def cmd_limits(args):
     if args.x is None or args.x <= 0:
         raise UsageError("limits needs --x > 0")
-    rows = limit_rows(args.corner, args.x, ladder=_ladder(args, None),
+    rows = limit_rows(args.corner, args.x, ladder=_ladder(args),
                       p=args.p, q=args.q)
     records = [{"corner": args.corner, "edge": edge, "parameter": param, "gap": gap}
                for edge, param, gap in rows]

@@ -8,7 +8,6 @@ q in (0,1); Gamma_q carries both the 0<q<1 and q>1 branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .qcore import (
     SeriesControl,
     _geometric_series,
     log_q_bracket,
+    log_q_factorial,
     q_bracket,
 )
 
@@ -38,26 +38,14 @@ _STIRLING = (
 _SHIFT = 10.0  # recurrence pushes the argument above this before the series
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    """Log-domain carrier for a gamma-family value."""
-
-    log_value: float
-
-    def value(self):
-        return math.exp(self.log_value)
-
-
 def log_gamma_pq(x, params: PQParams):
     """ln Gamma_{p,q}(x) = x ln[p]_q + ln [p]_q! - sum_{k=0}^{p} ln [x+k]_q."""
     if x <= 0:
         raise DomainError(f"x must be positive, got {x!r}")
     p, q = params.p, params.q
-    ks = np.arange(0, p + 1, dtype=float)
     lbp = math.log(q_bracket(p, q))
-    num = log_q_bracket(np.arange(1, p + 1), q).sum()
-    den = log_q_bracket(x + ks, q).sum()
-    return x * lbp + float(num) - float(den)
+    den = log_q_bracket(x + np.arange(0, p + 1, dtype=float), q).sum()
+    return x * lbp + log_q_factorial(p, q) - float(den)
 
 
 def log_gamma_p(x, p):

@@ -3,7 +3,9 @@
 Covers the shifted gamma-ratio product G, the reciprocal-power root
 function (in both its stated and proved forms), the two-point exponential
 mean h, its inner psi-difference phi, and the affine-argument ratio
-family with its hypothesis gates.
+family with its hypothesis gates, plus the two sampled campaigns that
+are not difference tables: Lemma 2.1 on q-brackets and the section 4
+double inequality for f1.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .gammafam import log_gamma_pq
+from .monocheck import _LCG, GridSpec, MonotonicityReport
 from .psifam import psi_pq
-from .qcore import DomainError, PQParams
+from .qcore import DomainError, PQParams, q_bracket
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,9 @@ class TwoPointSpec:
 class AffineInequalitySpec:
     """The six reals (a,b,c,d,e,f) of the affine-argument gamma ratio.
 
-    Interval-dependent invariants (positivity and ordering of the affine
-    forms) are checked pointwise via affine_forms_ok.
+    Interval-dependent invariants are checked pointwise: f1 and
+    lemma_sign_check reject nonpositive affine forms, and the lemma
+    hypotheses include their ordering.
     """
 
     a: float
@@ -65,11 +69,6 @@ class AffineInequalitySpec:
     d: float
     e: float
     f: float
-
-    def affine_forms_ok(self, x):
-        u = self.a + self.b * x
-        v = self.d + self.e * x
-        return u > 0.0 and v > 0.0 and u <= v
 
 
 def validate_ratio_spec(spec: RatioSpec):
@@ -209,3 +208,100 @@ def lemma_sign_check(spec: AffineInequalitySpec, params: PQParams, x, which):
     else:
         raise DomainError(f"unknown lemma id {which!r}")
     return LemmaCheck(hypotheses_hold=hyp, conclusion_holds=concl)
+
+
+_YOUNG_TOL = 1e-14
+
+
+def check_young_bracket(grid: GridSpec):
+    """Lemma 2.1, [1+x]_q^alpha [1+y]_q^(1-alpha) <= [1+alpha x+(1-alpha) y]_q, at
+    grid.points^2 seeded draws of x, y in [lo, hi], alpha in [0, 1), q in [0.05, 0.95).
+
+    The witness is (x, y, alpha) of the smallest slack rhs - lhs."""
+    rng = _LCG(grid.seed)
+    span = grid.hi - grid.lo
+    best_slack = math.inf
+    witness = (0.0, 0.0, 0.0)
+    count = grid.points**2
+    for _ in range(count):
+        x = grid.lo + span * rng.uniform()
+        y = grid.lo + span * rng.uniform()
+        alpha = rng.uniform()
+        q = 0.05 + 0.9 * rng.uniform()
+        beta = 1.0 - alpha
+        lhs = q_bracket(1.0 + x, q) ** alpha * q_bracket(1.0 + y, q) ** beta
+        rhs = q_bracket(1.0 + alpha * x + beta * y, q)
+        slack = rhs - lhs
+        if slack < best_slack:
+            best_slack = slack
+            witness = (x, y, alpha)
+    verdict = "pass" if best_slack >= -_YOUNG_TOL else "fail"
+    return MonotonicityReport(verdict, best_slack, witness, _YOUNG_TOL, 2 * count, grid.seed)
+
+
+_SEC4_GRID_POINTS = 21
+_SEC4_TOL = 1e-10
+
+
+def sample_affine_specs(samples, seed):
+    """Seeded stream of candidate six-real specs with ordered affine forms on [0,1]."""
+    rng = _LCG(seed)
+    out = []
+    for _ in range(samples):
+        a = 0.2 + 2.8 * rng.uniform()
+        b = 0.1 + 1.9 * rng.uniform()
+        d = a + 2.0 * rng.uniform()
+        e = b + 2.0 * rng.uniform()
+        c = 0.1 + 1.9 * rng.uniform()
+        f = 0.1 + 1.9 * rng.uniform()
+        out.append(AffineInequalitySpec(a, b, c, d, e, f))
+    return out
+
+
+def run_sec4_campaign(params, samples=1000, seed=42):
+    """Gate seeded affine specs on the lemma hypotheses, then test that every
+    qualifying sample gives a decreasing ratio and the double inequality on [0,1]."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+    xs = [i / (_SEC4_GRID_POINTS - 1) for i in range(_SEC4_GRID_POINTS)]
+    qualified = skipped = 0
+    evaluations = 0
+    best_slack = math.inf
+    witness = (0.0, 0.0, 0.0)
+    for spec in sample_affine_specs(samples, seed):
+        gate = None
+        for which in ("L42", "L43"):
+            if all(lemma_sign_check(spec, params, x, which).hypotheses_hold for x in xs):
+                gate = which
+                break
+        evaluations += 2 * len(xs)
+        if gate is None:
+            skipped += 1
+            continue
+        qualified += 1
+        vals = [f1(x, spec, params) for x in xs]
+        evaluations += len(xs)
+        for i, x in enumerate(xs):
+            # monotone decrease along the grid
+            if i + 1 < len(xs):
+                slack = vals[i] - vals[i + 1]
+                if slack < best_slack:
+                    best_slack = slack
+                    witness = (x, spec.a, spec.b)
+            # double inequality: f1(1) <= f1(x) <= f1(0)
+            for slack in (vals[i] - vals[-1], vals[0] - vals[i]):
+                if slack < best_slack:
+                    best_slack = slack
+                    witness = (x, spec.a, spec.b)
+    verdict = "pass" if (best_slack >= -_SEC4_TOL and qualified > 0) else "fail"
+    return {
+        "verdict": verdict,
+        "min_slack": best_slack if qualified else 0.0,
+        "witness": witness,
+        "tolerance": _SEC4_TOL,
+        "evaluations": evaluations,
+        "samples": samples,
+        "qualified": qualified,
+        "skipped": skipped,
+        "grid_points": _SEC4_GRID_POINTS,
+    }

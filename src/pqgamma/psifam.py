@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,21 +33,6 @@ _PSI_ASY = (
 _SHIFT = 10.0
 
 
-@dataclass(frozen=True)
-class PsiDerivOrder:
-    """Derivative order for the psi family; n = 0 means psi itself.
-
-    Difference-table campaigns cap n at 8: beyond that the tables drown
-    in rounding at double precision.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise DomainError(f"derivative order must be a nonnegative integer, got {self.n!r}")
-
-
 def psi_pq(x, params: PQParams):
     """psi_{p,q}(x) = ln[p]_q + ln q * sum_{k=0}^{p} q^{x+k}/(1 - q^{x+k})."""
     if x <= 0:
@@ -68,7 +52,7 @@ def psi_pq_deriv(x, params: PQParams, order, ctl=SeriesControl()):
 
     truncated once past the term peak and below rel_tol * |partial sum|.
     """
-    n = order.n if isinstance(order, PsiDerivOrder) else int(order)
+    n = int(order)
     if x <= 0:
         raise DomainError(f"x must be positive, got {x!r}")
     if n < 1:
@@ -146,7 +130,7 @@ def psi_q_deriv(x, q, order, ctl=SeriesControl()):
     (q>1).  Li_{-n}(z)/z is nondecreasing, so with r = q or q^{-x} the tail after the last
     summed term t is at most t r/(1-r); each sum stops once that is <= ctl.rel_tol * sum.
     """
-    n = order.n if isinstance(order, PsiDerivOrder) else int(order)
+    n = int(order)
     if x <= 0:
         raise DomainError(f"x must be positive, got {x!r}")
     if n < 1:

@@ -5,14 +5,10 @@ import math
 
 import pytest
 
-from pqgamma.cli import (
-    gaps_nonincreasing,
-    limit_rows,
-    main,
-    run_sec4_campaign,
-    sample_affine_specs,
-)
-from pqgamma.qcore import PQParams
+from pqgamma.cli import gaps_nonincreasing, limit_rows, main
+from pqgamma.gammafam import log_gamma_q
+from pqgamma.paperfuncs import run_sec4_campaign, sample_affine_specs
+from pqgamma.qcore import PQParams, SeriesControl
 
 
 def run(capsys, *argv):
@@ -70,6 +66,16 @@ class TestEval:
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "nope", "--x", "1")
         assert code == 2
+
+    def test_gamma_q_just_above_one(self, capsys):
+        # q > 1 needs the same term budget as its mirror 1/q < 1:
+        # Gamma_q(x) = q^{(x-1)(x-2)/2} Gamma_{1/q}(x)
+        x, q = 1.5, 1.00001
+        code, out, err = run(capsys, "eval", "--fn", "gamma_q", "--x", str(x), "--q", str(q))
+        assert code == 0, err
+        mirror = log_gamma_q(x, 1 / q, SeriesControl(max_terms=10**8))
+        expected = q ** ((x - 1) * (x - 2) / 2) * math.exp(mirror)
+        assert float(parse_csv(out)[0]["output"]) == pytest.approx(expected, rel=1e-12)
 
     def test_out_file_duplicates_stdout(self, capsys, tmp_path):
         path = tmp_path / "row.csv"
@@ -149,6 +155,27 @@ class TestVerify:
         assert row["verdict"] == "pass"
         assert float(row["min_slack"]) >= -1e-14
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_ineq_lemma21_rejects_empty_grid(self, capsys, points):
+        code, out, err = run(capsys, "verify", "ineq-lemma21", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert "points" in err
+
+    def test_ineq_lemma21_draws_from_lo_hi(self, capsys):
+        code, out, _ = run(capsys, "verify", "ineq-lemma21", "--points", "10",
+                           "--lo", "1", "--hi", "3")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert (row["lo"], row["hi"]) == ("1.0", "3.0")
+        assert 1.0 <= float(row["w0"]) <= 3.0 and 1.0 <= float(row["w1"]) <= 3.0
+
+    def test_ineq_sec4_rejects_nonpositive_samples(self, capsys):
+        code, out, err = run(capsys, "verify", "ineq-sec4", "--samples", "-5")
+        assert code == 2
+        assert out == ""
+        assert "samples" in err
+
     def test_ineq_sec4_passes_with_enough_qualified(self, capsys):
         code, out, _ = run(capsys, "verify", "ineq-sec4", "--samples", "200")
         assert code == 0
@@ -200,6 +227,68 @@ class TestLimits:
         rows = [("e", 1, 1.0), ("e", 2, 0.5), ("e", 3, 0.5 + 1e-12)]
         assert gaps_nonincreasing(rows)
         assert not gaps_nonincreasing([("e", 1, 1.0), ("e", 2, 2.0)])
+
+
+REPORT_COLUMNS = ("campaign,case,verdict,min_slack,w0,w1,w2,tolerance,evaluations,"
+                  "seed,lo,hi,points,max_order,tol_scale")
+
+EVAL_HEADERS = {
+    "gamma_pq": (("--p", "3", "--q", "0.5"), "function,x,p,q,output,provenance"),
+    "gamma_p": (("--p", "3"), "function,x,p,output,provenance"),
+    "gamma_q": (("--q", "0.5"), "function,x,q,output,provenance"),
+    "gamma": ((), "function,x,output,provenance"),
+    "psi_pq": (("--p", "3", "--q", "0.5"), "function,x,p,q,output,provenance"),
+    "psi_pq_deriv": (("--p", "3", "--q", "0.5", "--n", "2"),
+                     "function,x,p,q,n,output,provenance"),
+    "psi_p": (("--p", "3"), "function,x,p,output,provenance"),
+    "psi_q": (("--q", "0.5"), "function,x,q,output,provenance"),
+    "psi": ((), "function,x,output,provenance"),
+    "G_pq": (("--p", "3", "--q", "0.5", "--a", "1,2", "--b", "1.5,2.5"),
+             "function,x,p,q,a,b,output,provenance"),
+    "f32": (("--p", "3", "--q", "0.5"), "function,x,p,q,variant,output,provenance"),
+    "h_beta": (("--p", "3", "--q", "0.5", "--s", "2", "--t", "1", "--beta", "0.5"),
+               "function,x,p,q,s,t,beta,output,provenance"),
+    "f1": (("--p", "3", "--q", "0.5", "--abc", "1,1,1,2,1,1"),
+           "function,x,p,q,abc,output,provenance"),
+}
+
+CAMPAIGN_HEADERS = {
+    "logconvex-gamma": (("--points", "4"), REPORT_COLUMNS + ",p,q"),
+    "cm-psi-prime": (("--points", "4"), REPORT_COLUMNS + ",p,q"),
+    "cm-G": (("--points", "4", "--a", "1,2", "--b", "1.5,2.5"), REPORT_COLUMNS + ",p,q,a,b"),
+    "lcm-f32": (("--points", "4"), REPORT_COLUMNS + ",p,q"),
+    "lcm-h": (("--points", "4"), REPORT_COLUMNS + ",p,q,s,t,beta"),
+    "ineq-lemma21": (("--points", "4"), REPORT_COLUMNS),
+    "ineq-sec4": (("--samples", "20"), REPORT_COLUMNS + ",samples,qualified,skipped,p,q"),
+}
+
+
+class TestRecordLayout:
+    """Column order of every record, fixed independently of how dispatch is written."""
+
+    @pytest.mark.parametrize("fn", sorted(EVAL_HEADERS))
+    def test_eval_csv_header(self, capsys, fn):
+        extra, header = EVAL_HEADERS[fn]
+        code, out, err = run(capsys, "eval", "--fn", fn, "--x", "0.5", *extra)
+        assert code == 0, err
+        assert out.splitlines()[0] == header
+
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGN_HEADERS))
+    def test_verify_csv_header(self, capsys, campaign):
+        extra, header = CAMPAIGN_HEADERS[campaign]
+        code, out, err = run(capsys, "verify", campaign, *extra)
+        assert code in (0, 1), err
+        assert out.splitlines()[0] == header
+
+    def test_json_key_order(self, capsys):
+        _, out, _ = run(capsys, "eval", "--fn", "h_beta", "--x", "0.5",
+                        *EVAL_HEADERS["h_beta"][0], "--format", "json")
+        record = json.loads(out)
+        assert list(record) == ["function", "inputs", "output", "provenance"]
+        assert list(record["inputs"]) == ["x", "p", "q", "s", "t", "beta"]
+        _, out, _ = run(capsys, "verify", "lcm-h", "--points", "4", "--format", "json")
+        assert [list(json.loads(line)) for line in out.splitlines()] == [
+            (REPORT_COLUMNS + ",p,q,s,t,beta").split(",")]
 
 
 class TestSec4Sampling:

@@ -5,7 +5,6 @@ import mpmath
 import pytest
 
 from pqgamma.gammafam import (
-    GammaValue,
     log_gamma_classical,
     log_gamma_p,
     log_gamma_pq,
@@ -172,9 +171,3 @@ class TestYoungBracketInequality:
             lhs = q_bracket(1 + x, q) ** a * q_bracket(1 + y, q) ** (1 - a)
             rhs = q_bracket(1 + a * x + (1 - a) * y, q)
             assert lhs <= rhs + 1e-14
-
-
-def test_gamma_value_carrier():
-    gv = GammaValue(math.log(6 / 7))
-    assert gv.value() == pytest.approx(6 / 7, rel=1e-15)
-    assert gv.value() > 0

@@ -5,7 +5,6 @@ import pytest
 
 from pqgamma.gammafam import log_gamma_p, log_gamma_pq, log_gamma_q
 from pqgamma.psifam import (
-    PsiDerivOrder,
     euler_gamma,
     psi_classical,
     psi_p,
@@ -81,10 +80,6 @@ class TestPsiPQDeriv:
     def test_against_double_series_oracle(self, x, p, q, n):
         got = psi_pq_deriv(x, PQParams(p, q), n)
         assert got == pytest.approx(brute_psi_pq_deriv(x, p, q, n), rel=1e-12)
-
-    def test_accepts_order_wrapper(self):
-        params = PQParams(2, 0.5)
-        assert psi_pq_deriv(1.0, params, PsiDerivOrder(2)) == psi_pq_deriv(1.0, params, 2)
 
     def test_rejects_order_zero(self):
         with pytest.raises(DomainError):
