@@ -266,12 +266,17 @@ def _verify_lcm_h(args, tol_scale):
 
 def _verify_lemma21(args, tol_scale):
     grid = _grid(args, 0.0, 5.0, max_order=0)
-    return [("young_bracket", check_young_bracket(grid), grid, None)]
+    return [("young_bracket", check_young_bracket(grid, tol_scale), grid, None)]
 
 
 def _verify_sec4(args, tol_scale):
+    given = [f"--{name}" for name in ("points", "lo", "hi") if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"campaign ineq-sec4 has a fixed 21-point grid on [0, 1]; "
+                         f"{', '.join(given)} do not apply")
     params = _pq(args)
-    result = run_sec4_campaign(params, samples=args.samples, seed=args.seed)
+    result = run_sec4_campaign(params, samples=args.samples, seed=args.seed,
+                               tol_scale=tol_scale)
     report = MonotonicityReport(result["verdict"], result["min_slack"], result["witness"],
                                 result["tolerance"], result["evaluations"], args.seed)
     grid = GridSpec(0.0, 1.0, result["grid_points"], max_order=0, seed=args.seed)

@@ -16,9 +16,9 @@ from .qcore import (
     PQParams,
     SeriesControl,
     _geometric_series,
+    _pq_constants,
+    _positive_array,
     log_q_bracket,
-    log_q_factorial,
-    q_bracket,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -39,13 +39,16 @@ _SHIFT = 10.0  # recurrence pushes the argument above this before the series
 
 
 def log_gamma_pq(x, params: PQParams):
-    """ln Gamma_{p,q}(x) = x ln[p]_q + ln [p]_q! - sum_{k=0}^{p} ln [x+k]_q."""
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    """ln Gamma_{p,q}(x) = x ln[p]_q + ln [p]_q! - sum_{k=0}^{p} ln [x+k]_q.
+
+    x may be a float or an array; each element of an array result equals the
+    float call at that element, bit for bit."""
+    xs = _positive_array(x)
     p, q = params.p, params.q
-    lbp = math.log(q_bracket(p, q))
-    den = log_q_bracket(x + np.arange(0, p + 1, dtype=float), q).sum()
-    return x * lbp + log_q_factorial(p, q) - float(den)
+    lbp, lfac, ks = _pq_constants(p, q)
+    den = log_q_bracket(xs[..., None] + ks, q).sum(axis=-1)
+    out = xs * lbp + lfac - den
+    return float(out) if out.ndim == 0 else out
 
 
 def log_gamma_p(x, p):

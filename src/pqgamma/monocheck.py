@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .qcore import DomainError
 
 _EPS = 2.220446049250313e-16
@@ -74,6 +76,17 @@ class _LCG:
     def uniform(self):
         self.state = (self._A * self.state + self._C) % self._M
         return (self.state >> 11) / float(1 << 53)
+
+    def uniforms(self, n):
+        """The next n uniform() values as an array, bit for bit: state k is
+        A^k s + C (1 + A + ... + A^{k-1}), evaluated in uint64, whose arithmetic is mod 2^64
+        like the generator's."""
+        powers = np.cumprod(np.full(n, self._A, dtype=np.uint64))  # A^1 .. A^n
+        geometric = np.cumsum(powers) - powers + 1  # 1 + A + ... + A^{k-1}
+        states = powers * np.uint64(self.state) + np.uint64(self._C) * geometric
+        if n:
+            self.state = int(states[-1])
+        return (states >> 11) / float(1 << 53)
 
 
 def forward_difference(f, x, h, n):

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gammafam import log_gamma_pq
-from .monocheck import _LCG, GridSpec, MonotonicityReport
+from .monocheck import _EPS, _LCG, GridSpec, MonotonicityReport
 from .psifam import psi_pq
 from .qcore import DomainError, PQParams, q_bracket
 
@@ -104,10 +106,8 @@ def log_G_pq(x, spec: RatioSpec, params: PQParams):
         raise DomainError(f"invalid RatioSpec: {violation}")
     if x <= 0:
         raise DomainError(f"x must be positive, got {x!r}")
-    return math.fsum(
-        log_gamma_pq(x + ai, params) - log_gamma_pq(x + bi, params)
-        for ai, bi in zip(spec.a, spec.b)
-    )
+    lg = log_gamma_pq(x + np.array(spec.a + spec.b), params)
+    return math.fsum(lg[: len(spec.a)] - lg[len(spec.a):])
 
 
 def f_theorem32(x, params: PQParams, variant="as_defined"):
@@ -121,8 +121,8 @@ def f_theorem32(x, params: PQParams, variant="as_defined"):
     if x <= 0:
         raise DomainError(f"x must be positive, got {x!r}")
     if variant == "as_defined":
-        scale = log_gamma_pq(1.0, params)  # ln([p]_q/[p+1]_q)
-        return math.exp(-(scale + log_gamma_pq(x, params)) / x)
+        scale, lg = log_gamma_pq(np.array([1.0, x]), params)  # scale = ln([p]_q/[p+1]_q)
+        return math.exp(-(scale + lg) / x)
     if variant == "as_proved":
         return math.exp(-log_gamma_pq(x + 1.0, params) / x)
     raise DomainError(f"unknown variant {variant!r}")
@@ -132,7 +132,8 @@ def phi(u, spec: TwoPointSpec, params: PQParams):
     """psi_{p,q}(u+s) - psi_{p,q}(u+t): the inner integral of psi'_{p,q} from t to s."""
     if u + spec.s <= 0 or u + spec.t <= 0:
         raise DomainError(f"u={u} leaves a psi argument nonpositive")
-    return psi_pq(u + spec.s, params) - psi_pq(u + spec.t, params)
+    psi_s, psi_t = psi_pq(np.array([u + spec.s, u + spec.t]), params)
+    return float(psi_s - psi_t)
 
 
 _H_SWITCH = 1e-6  # difference quotient loses ~6 digits inside this radius
@@ -151,22 +152,32 @@ def h_beta(x, spec: TwoPointSpec, params: PQParams):
     s, t, beta = spec.s, spec.t, spec.beta
     if abs(x - beta) <= _H_SWITCH:
         return math.exp(phi(0.5 * (x + beta), spec, params))
-    num = (
-        log_gamma_pq(x + s, params)
-        - log_gamma_pq(beta + s, params)
-        - log_gamma_pq(x + t, params)
-        + log_gamma_pq(beta + t, params)
-    )
-    return math.exp(num / (x - beta))
+    lg_xs, lg_bs, lg_xt, lg_bt = log_gamma_pq(np.array([x + s, beta + s, x + t, beta + t]), params)
+    return math.exp((lg_xs - lg_bs - lg_xt + lg_bt) / (x - beta))
+
+
+def _affine_forms(spec: AffineInequalitySpec, x):
+    """(u, v) = (a+bx, d+ex) as arrays, or DomainError naming the first x where one is <= 0."""
+    xs = np.asarray(x, dtype=float)
+    u = spec.a + spec.b * xs
+    v = spec.d + spec.e * xs
+    bad = np.flatnonzero((u <= 0) | (v <= 0))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"affine forms must stay positive at x={xs.flat[i]}: "
+                          f"{u.flat[i]}, {v.flat[i]}")
+    return u, v
 
 
 def f1(x, spec: AffineInequalitySpec, params: PQParams):
-    """Gamma_{p,q}(a+bx)^c / Gamma_{p,q}(d+ex)^f in the value domain."""
-    u = spec.a + spec.b * x
-    v = spec.d + spec.e * x
-    if u <= 0 or v <= 0:
-        raise DomainError(f"affine forms must stay positive at x={x}: {u}, {v}")
-    return math.exp(spec.c * log_gamma_pq(u, params) - spec.f * log_gamma_pq(v, params))
+    """Gamma_{p,q}(a+bx)^c / Gamma_{p,q}(d+ex)^f in the value domain, for a float or an
+    array x; each element of an array result equals the float call, bit for bit."""
+    u, v = _affine_forms(spec, x)
+    lg_u, lg_v = log_gamma_pq(np.stack([u, v]), params)
+    w = np.asarray(spec.c * lg_u - spec.f * lg_v)
+    # math.exp elementwise: numpy's exp can differ from it in the last ulp
+    vals = np.array([math.exp(t) for t in w.flat]).reshape(w.shape)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -179,7 +190,8 @@ _CONCLUSION_SLACK = 1e-12
 
 
 def lemma_sign_check(spec: AffineInequalitySpec, params: PQParams, x, which):
-    """Evaluate one of the three affine-psi lemmas at x.
+    """Evaluate one of the three affine-psi lemmas at x, a float or an array; for an
+    array both fields are boolean arrays of its shape.
 
     which = "L41": ordering hypotheses only; conclusion
         psi(a+bx) - psi(d+ex) <= 0.
@@ -187,56 +199,82 @@ def lemma_sign_check(spec: AffineInequalitySpec, params: PQParams, x, which):
     which = "L43": adds bc >= ef > 0 and (psi(d+ex) < 0 or psi(a+bx) < 0);
         both conclude bc psi(a+bx) - ef psi(d+ex) <= 0.
     """
-    u = spec.a + spec.b * x
-    v = spec.d + spec.e * x
-    if u <= 0 or v <= 0:
-        raise DomainError(f"affine forms must stay positive at x={x}: {u}, {v}")
+    u, v = _affine_forms(spec, x)
     ordered = u <= v
-    psi_u = psi_pq(u, params)
-    psi_v = psi_pq(v, params)
+    psi_u, psi_v = psi_pq(np.stack([u, v]), params)
     bc = spec.b * spec.c
     ef = spec.e * spec.f
     if which == "L41":
         hyp = ordered
         concl = psi_u - psi_v <= _CONCLUSION_SLACK
     elif which == "L42":
-        hyp = ordered and ef >= bc > 0.0 and (psi_u > 0.0 or psi_v > 0.0)
+        hyp = ordered & (ef >= bc > 0.0) & ((psi_u > 0.0) | (psi_v > 0.0))
         concl = bc * psi_u - ef * psi_v <= _CONCLUSION_SLACK
     elif which == "L43":
-        hyp = ordered and bc >= ef > 0.0 and (psi_v < 0.0 or psi_u < 0.0)
+        hyp = ordered & (bc >= ef > 0.0) & ((psi_v < 0.0) | (psi_u < 0.0))
         concl = bc * psi_u - ef * psi_v <= _CONCLUSION_SLACK
     else:
         raise DomainError(f"unknown lemma id {which!r}")
+    if np.ndim(hyp) == 0:
+        hyp, concl = bool(hyp), bool(concl)
     return LemmaCheck(hypotheses_hold=hyp, conclusion_holds=concl)
 
 
 _YOUNG_TOL = 1e-14
+_YOUNG_CHUNK = 1024  # draws per numpy evaluation, which bounds the working set
+# bound on the error of the numpy brackets relative to q_bracket, as a share of max(lhs, rhs)
+_YOUNG_ERR = 64 * _EPS
 
 
-def check_young_bracket(grid: GridSpec):
+def _q_brackets(n, lq):
+    """[n]_q elementwise from ln q, by q_bracket's formula in numpy."""
+    if n.min() < 0:
+        raise DomainError(f"n must be >= 0, got {float(n.min())!r}")
+    return np.expm1(n * lq) / np.expm1(lq)
+
+
+def _young_slack(x, y, alpha, q):
+    """rhs - lhs of Lemma 2.1 at one draw, from the scalar q_bracket."""
+    beta = 1.0 - alpha
+    lhs = q_bracket(1.0 + x, q) ** alpha * q_bracket(1.0 + y, q) ** beta
+    return q_bracket(1.0 + alpha * x + beta * y, q) - lhs
+
+
+def check_young_bracket(grid: GridSpec, tol_scale=1e3):
     """Lemma 2.1, [1+x]_q^alpha [1+y]_q^(1-alpha) <= [1+alpha x+(1-alpha) y]_q, at
     grid.points^2 seeded draws of x, y in [lo, hi], alpha in [0, 1), q in [0.05, 0.95).
 
-    The witness is (x, y, alpha) of the smallest slack rhs - lhs."""
+    The witness is (x, y, alpha) of the first smallest slack rhs - lhs.  Draws are
+    evaluated with numpy in chunks; numpy's exp, log and pow can differ from the math
+    module's by a few ulp, so every draw whose slack may be the chunk's smallest within
+    _YOUNG_ERR is evaluated again with _young_slack, in draw order.  The result is then
+    that of evaluating every draw with _young_slack.  The tolerance is 1e-14 at the
+    default tol_scale of 1000 and scales with it."""
+    tol = _YOUNG_TOL * (tol_scale / 1e3)
     rng = _LCG(grid.seed)
     span = grid.hi - grid.lo
     best_slack = math.inf
     witness = (0.0, 0.0, 0.0)
     count = grid.points**2
-    for _ in range(count):
-        x = grid.lo + span * rng.uniform()
-        y = grid.lo + span * rng.uniform()
-        alpha = rng.uniform()
-        q = 0.05 + 0.9 * rng.uniform()
+    for done in range(0, count, _YOUNG_CHUNK):
+        draws = rng.uniforms(4 * min(_YOUNG_CHUNK, count - done)).reshape(-1, 4)
+        x = grid.lo + span * draws[:, 0]
+        y = grid.lo + span * draws[:, 1]
+        alpha = draws[:, 2]
+        q = 0.05 + 0.9 * draws[:, 3]
         beta = 1.0 - alpha
-        lhs = q_bracket(1.0 + x, q) ** alpha * q_bracket(1.0 + y, q) ** beta
-        rhs = q_bracket(1.0 + alpha * x + beta * y, q)
+        lq = np.log(q)
+        lhs = _q_brackets(1.0 + x, lq) ** alpha * _q_brackets(1.0 + y, lq) ** beta
+        rhs = _q_brackets(1.0 + alpha * x + beta * y, lq)
         slack = rhs - lhs
-        if slack < best_slack:
-            best_slack = slack
-            witness = (x, y, alpha)
-    verdict = "pass" if best_slack >= -_YOUNG_TOL else "fail"
-    return MonotonicityReport(verdict, best_slack, witness, _YOUNG_TOL, 2 * count, grid.seed)
+        err = _YOUNG_ERR * np.maximum(lhs, rhs)
+        for i in np.flatnonzero(slack - err <= (slack + err).min()):
+            s = _young_slack(float(x[i]), float(y[i]), float(alpha[i]), float(q[i]))
+            if s < best_slack:
+                best_slack = s
+                witness = (float(x[i]), float(y[i]), float(alpha[i]))
+    verdict = "pass" if best_slack >= -tol else "fail"
+    return MonotonicityReport(verdict, best_slack, witness, tol, 2 * count, grid.seed)
 
 
 _SEC4_GRID_POINTS = 21
@@ -258,47 +296,45 @@ def sample_affine_specs(samples, seed):
     return out
 
 
-def run_sec4_campaign(params, samples=1000, seed=42):
+def run_sec4_campaign(params, samples=1000, seed=42, tol_scale=1e3):
     """Gate seeded affine specs on the lemma hypotheses, then test that every
-    qualifying sample gives a decreasing ratio and the double inequality on [0,1]."""
+    qualifying sample gives a decreasing ratio and the double inequality on [0,1].
+    The tolerance is 1e-10 at the default tol_scale of 1000 and scales with it."""
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    xs = [i / (_SEC4_GRID_POINTS - 1) for i in range(_SEC4_GRID_POINTS)]
+    tol = _SEC4_TOL * (tol_scale / 1e3)
+    xs = np.arange(_SEC4_GRID_POINTS) / (_SEC4_GRID_POINTS - 1)
     qualified = skipped = 0
     evaluations = 0
     best_slack = math.inf
     witness = (0.0, 0.0, 0.0)
     for spec in sample_affine_specs(samples, seed):
-        gate = None
-        for which in ("L42", "L43"):
-            if all(lemma_sign_check(spec, params, x, which).hypotheses_hold for x in xs):
-                gate = which
-                break
+        gated = any(lemma_sign_check(spec, params, xs, which).hypotheses_hold.all()
+                    for which in ("L42", "L43"))
         evaluations += 2 * len(xs)
-        if gate is None:
+        if not gated:
             skipped += 1
             continue
         qualified += 1
-        vals = [f1(x, spec, params) for x in xs]
+        vals = f1(xs, spec, params)
         evaluations += len(xs)
-        for i, x in enumerate(xs):
-            # monotone decrease along the grid
-            if i + 1 < len(xs):
-                slack = vals[i] - vals[i + 1]
-                if slack < best_slack:
-                    best_slack = slack
-                    witness = (x, spec.a, spec.b)
-            # double inequality: f1(1) <= f1(x) <= f1(0)
-            for slack in (vals[i] - vals[-1], vals[0] - vals[i]):
-                if slack < best_slack:
-                    best_slack = slack
-                    witness = (x, spec.a, spec.b)
-    verdict = "pass" if (best_slack >= -_SEC4_TOL and qualified > 0) else "fail"
+        # slacks in the order of a loop over the grid: at x_i the decrease vals[i] - vals[i+1],
+        # then the double inequality f1(1) <= f1(x_i) <= f1(0), less the endpoints' zero
+        # comparisons with themselves
+        slacks = np.full((len(xs), 3), math.inf)
+        slacks[:-1, 0] = vals[:-1] - vals[1:]
+        slacks[:-1, 1] = vals[:-1] - vals[-1]
+        slacks[1:, 2] = vals[0] - vals[1:]
+        k = int(np.argmin(slacks))  # the first smallest, as a strict < in that loop keeps
+        if slacks.flat[k] < best_slack:
+            best_slack = float(slacks.flat[k])
+            witness = (float(xs[k // 3]), spec.a, spec.b)
+    verdict = "pass" if (best_slack >= -tol and qualified > 0) else "fail"
     return {
         "verdict": verdict,
         "min_slack": best_slack if qualified else 0.0,
         "witness": witness,
-        "tolerance": _SEC4_TOL,
+        "tolerance": tol,
         "evaluations": evaluations,
         "samples": samples,
         "qualified": qualified,

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .qcore import _CHUNK, DomainError, PQParams, SeriesControl, TruncationError, q_bracket
-from .qcore import _geometric_series
+from .qcore import _CHUNK, DomainError, PQParams, SeriesControl, TruncationError
+from .qcore import _geometric_series, _positive_array, _pq_constants
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -34,15 +34,18 @@ _SHIFT = 10.0
 
 
 def psi_pq(x, params: PQParams):
-    """psi_{p,q}(x) = ln[p]_q + ln q * sum_{k=0}^{p} q^{x+k}/(1 - q^{x+k})."""
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    """psi_{p,q}(x) = ln[p]_q + ln q * sum_{k=0}^{p} q^{x+k}/(1 - q^{x+k}).
+
+    x may be a float or an array; each element of an array result equals the
+    float call at that element, bit for bit."""
+    xs = _positive_array(x)
     p, q = params.p, params.q
+    lbp, _, ks = _pq_constants(p, q)
     lq = math.log(q)
-    ys = (x + np.arange(0, p + 1, dtype=float)) * lq
-    # q^{x+k}/(1-q^{x+k}) = e^y / (-expm1(y)); expm1 keeps digits as q -> 1
-    ratio = np.exp(ys) / (-np.expm1(ys))
-    return math.log(q_bracket(p, q)) + lq * float(ratio.sum())
+    ys = (xs[..., None] + ks) * lq
+    # q^{x+k}/(1-q^{x+k}) = -e^y / expm1(y); expm1 keeps digits as q -> 1
+    out = lbp - lq * (np.exp(ys) / np.expm1(ys)).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def psi_pq_deriv(x, params: PQParams, order, ctl=SeriesControl()):

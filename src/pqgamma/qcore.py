@@ -7,6 +7,7 @@ bracket (1 - q^n)/(1 - q) keeps its digits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,24 @@ def log_q_factorial(p, q):
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie strictly inside (0,1), got {q!r}")
     return float(log_q_bracket(np.arange(1, p + 1), q).sum())
+
+
+def _positive_array(x):
+    """x as a float array, or DomainError if an element is <= 0.  A 0-d x is compared
+    as given, which is cheaper than an array reduction."""
+    xs = np.asarray(x, dtype=float)
+    if (x if xs.ndim == 0 else xs.min(initial=math.inf)) <= 0:
+        raise DomainError(f"x must be positive, got {x!r}")
+    return xs
+
+
+@functools.lru_cache(maxsize=32)
+def _pq_constants(p, q):
+    """The x-independent parts of the (p,q) finite sums: ln [p]_q, ln [p]_q! and the
+    read-only shifts k = 0..p as floats."""
+    ks = np.arange(0, p + 1, dtype=float)
+    ks.flags.writeable = False
+    return math.log(q_bracket(p, q)), log_q_factorial(p, q), ks
 
 
 _CHUNK = 1 << 14  # most terms evaluated in one numpy call

@@ -183,6 +183,32 @@ class TestVerify:
         assert row["verdict"] == "pass"
         assert int(row["qualified"]) + int(row["skipped"]) == 200
 
+    def test_ineq_sec4_min_slack_is_positive(self, capsys):
+        code, out, _ = run(capsys, "verify", "ineq-sec4", "--samples", "200")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["verdict"] == "pass"
+        assert float(row["min_slack"]) > 0.0
+
+    @pytest.mark.parametrize("flag, value", [("--points", "5"), ("--lo", "0.3"), ("--hi", "0.9")])
+    def test_ineq_sec4_rejects_grid_flags(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "ineq-sec4", "--samples", "20", flag, value)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("campaign, extra, base", [
+        ("ineq-sec4", ("--samples", "20"), 1e-10),
+        ("ineq-lemma21", ("--points", "4"), 1e-14),
+    ])
+    def test_fixed_tolerances_scale_with_tol_scale(self, capsys, campaign, extra, base):
+        _, out, _ = run(capsys, "verify", campaign, *extra)
+        assert float(parse_csv(out)[0]["tolerance"]) == base
+        _, out, _ = run(capsys, "verify", campaign, *extra, "--tol-scale", "1e6")
+        row = parse_csv(out)[0]
+        assert float(row["tolerance"]) == base * (1e6 / 1e3)
+        assert float(row["tol_scale"]) == 1e6
+
     def test_seeded_runs_are_byte_identical(self, capsys):
         args = ("verify", "logconvex-gamma", "--points", "16", "--seed", "7")
         _, out1, _ = run(capsys, *args)
