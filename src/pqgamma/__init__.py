@@ -3,7 +3,6 @@
 from .qcore import (
     DomainError,
     PQParams,
-    SeriesControl,
     TruncationError,
     log_q_factorial,
     log_q_pochhammer_inf,
@@ -58,7 +57,6 @@ __all__ = [
     "MonotonicityReport",
     "PQParams",
     "RatioSpec",
-    "SeriesControl",
     "TruncationError",
     "TwoPointSpec",
     "check_cm",

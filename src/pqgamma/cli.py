@@ -1,9 +1,10 @@
 """Command-line front end: point evaluation, tables, verification campaigns, limit ladders.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-domain error.  Data goes to stdout (CSV by default, JSON lines with
---format json); diagnostics go to stderr.  --out writes the same bytes
-to a file as well.
+domain error, a series over its term cap, or a value that overflows a
+float.  Data goes to stdout (CSV by default, JSON lines with --format
+json); diagnostics go to stderr.  --out writes the same bytes to a file
+as well.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .psifam import (
     psi_pq_deriv,
     psi_q,
 )
-from .qcore import DomainError, PQParams, SeriesControl, TruncationError
+from .qcore import DomainError, PQParams, TruncationError
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -84,14 +85,6 @@ def _need(args, names, fn):
             raise UsageError(f"missing argument --{name} for function {fn}")
 
 
-def _series_ctl_for_q(q):
-    """Budget the q-series generously as r = min(q, 1/q) -> 1, where terms decay like r^j."""
-    r = min(q, 1.0 / q) if q > 0 else 0.0  # the callee rejects q <= 0 and q == 1
-    if r < 1:
-        return SeriesControl(rel_tol=1e-14, max_terms=max(10**6, int(120.0 / (1.0 - r))))
-    return SeriesControl(rel_tol=1e-14, max_terms=10**6)
-
-
 def _parse_vector(text, flag):
     try:
         return tuple(float(v) for v in text.split(","))
@@ -121,13 +114,12 @@ def _affine_spec(args):
 FUNCTIONS = {
     "gamma_pq": (("x", "p", "q"), lambda a: math.exp(log_gamma_pq(a.x, _pq(a)))),
     "gamma_p": (("x", "p"), lambda a: math.exp(log_gamma_p(a.x, a.p))),
-    "gamma_q": (("x", "q"),
-                lambda a: math.exp(log_gamma_q(a.x, a.q, _series_ctl_for_q(a.q)))),
+    "gamma_q": (("x", "q"), lambda a: math.exp(log_gamma_q(a.x, a.q))),
     "gamma": (("x",), lambda a: math.exp(log_gamma_classical(a.x))),
     "psi_pq": (("x", "p", "q"), lambda a: psi_pq(a.x, _pq(a))),
     "psi_pq_deriv": (("x", "p", "q", "n"), lambda a: psi_pq_deriv(a.x, _pq(a), a.n)),
     "psi_p": (("x", "p"), lambda a: psi_p(a.x, a.p)),
-    "psi_q": (("x", "q"), lambda a: psi_q(a.x, a.q, _series_ctl_for_q(a.q))),
+    "psi_q": (("x", "q"), lambda a: psi_q(a.x, a.q)),
     "psi": (("x",), lambda a: psi_classical(a.x)),
     "G_pq": (("x", "p", "q", "a", "b"),
              lambda a: math.exp(log_G_pq(a.x, _ratio_spec(a), _pq(a)))),
@@ -334,11 +326,10 @@ def limit_rows(corner, x, ladder=None, p=None, q=None):
     elif corner == "q-gamma":
         target = log_gamma_classical(x)
         for qv in ladder or (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999):
-            gap = abs(log_gamma_q(x, qv, _series_ctl_for_q(qv)) - target)
-            rows.append(("gamma_q->gamma", qv, gap))
+            rows.append(("gamma_q->gamma", qv, abs(log_gamma_q(x, qv) - target)))
     elif corner == "p-to-q":
         qv = q if q is not None else 0.9
-        target = log_gamma_q(x, qv, _series_ctl_for_q(qv))
+        target = log_gamma_q(x, qv)
         for pv in ladder or (10, 100, 1000, 10000):
             pv = int(pv)
             rows.append(("gamma_pq->gamma_q", pv,
@@ -351,7 +342,7 @@ def limit_rows(corner, x, ladder=None, p=None, q=None):
                          abs(log_gamma_pq(x, PQParams(pv, qv)) - target)))
     elif corner == "psi-diagram":
         qv = q if q is not None else 0.9
-        target = psi_q(x, qv, _series_ctl_for_q(qv))
+        target = psi_q(x, qv)
         for pv in (10, 100, 1000, 10000):
             rows.append(("psi_pq->psi_q", pv, abs(psi_pq(x, PQParams(pv, qv)) - target)))
         pv = int(p) if p is not None else 10
@@ -478,6 +469,9 @@ def main(argv=None):
         return args.handler(args)
     except (UsageError, DomainError, TruncationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
+    except OverflowError as exc:
+        sys.stderr.write(f"error: the value overflows a float ({exc})\n")
         return USAGE_ERROR
 
 

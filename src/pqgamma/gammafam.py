@@ -14,7 +14,6 @@ import numpy as np
 from .qcore import (
     DomainError,
     PQParams,
-    SeriesControl,
     _geometric_series,
     _pq_constants,
     _positive_array,
@@ -62,12 +61,12 @@ def log_gamma_p(x, p):
     return x * math.log(p) + float(num) - float(den)
 
 
-def log_gamma_q(x, q, ctl=SeriesControl()):
+def log_gamma_q(x, q):
     """ln Gamma_q(x) from Jackson's products, for 0<q<1 and q>1 (in r = 1/q).
 
     ln((r;r)_inf/(r^x;r)_inf) is summed as one series of terms g(r^j) with |g(z)|/z
     nondecreasing, so the tail after the last summed term t is at most |t| r/(1-r).
-    ctl.rel_tol applies to this combined sum, not to the two products separately.
+    The 1e-14 relative tail bound applies to this combined sum, not to each product.
     """
     if x <= 0:
         raise DomainError(f"x must be positive, got {x!r}")
@@ -76,7 +75,7 @@ def log_gamma_q(x, q, ctl=SeriesControl()):
     lr = -abs(math.log(q))  # ln r
     c = math.exp(lr) * math.expm1((x - 1.0) * lr)  # r^x - r
     # terms ln((1 - r^{j+1})/(1 - r^{x+j})) = log1p(r^j (r^x - r)/(1 - r^{x+j})) at y = j ln r
-    s = _geometric_series(lambda y: np.log1p(np.exp(y) * c / -np.expm1(y + x * lr)), 0, lr, ctl)[0]
+    s = _geometric_series(lambda y: np.log1p(np.exp(y) * c / -np.expm1(y + x * lr)), 0, lr)[0]
     if q < 1.0:
         return s + (1.0 - x) * math.log1p(-q)
     return s + (1.0 - x) * math.log(q - 1.0) + 0.5 * x * (x - 1.0) * math.log(q)

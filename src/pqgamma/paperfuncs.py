@@ -200,24 +200,25 @@ def lemma_sign_check(spec: AffineInequalitySpec, params: PQParams, x, which):
         both conclude bc psi(a+bx) - ef psi(d+ex) <= 0.
     """
     u, v = _affine_forms(spec, x)
-    ordered = u <= v
-    psi_u, psi_v = psi_pq(np.stack([u, v]), params)
-    bc = spec.b * spec.c
-    ef = spec.e * spec.f
-    if which == "L41":
-        hyp = ordered
-        concl = psi_u - psi_v <= _CONCLUSION_SLACK
-    elif which == "L42":
-        hyp = ordered & (ef >= bc > 0.0) & ((psi_u > 0.0) | (psi_v > 0.0))
-        concl = bc * psi_u - ef * psi_v <= _CONCLUSION_SLACK
-    elif which == "L43":
-        hyp = ordered & (bc >= ef > 0.0) & ((psi_v < 0.0) | (psi_u < 0.0))
-        concl = bc * psi_u - ef * psi_v <= _CONCLUSION_SLACK
-    else:
-        raise DomainError(f"unknown lemma id {which!r}")
+    hyp, concl = _lemma(spec, u <= v, *psi_pq(np.stack([u, v]), params), which)
     if np.ndim(hyp) == 0:
         hyp, concl = bool(hyp), bool(concl)
     return LemmaCheck(hypotheses_hold=hyp, conclusion_holds=concl)
+
+
+def _lemma(spec, ordered, psi_u, psi_v, which):
+    """(hypotheses, conclusion) of lemma_sign_check from the psi values at u and v."""
+    bc = spec.b * spec.c
+    ef = spec.e * spec.f
+    if which == "L41":
+        return ordered, psi_u - psi_v <= _CONCLUSION_SLACK
+    if which == "L42":
+        hyp = ordered & (ef >= bc > 0.0) & ((psi_u > 0.0) | (psi_v > 0.0))
+    elif which == "L43":
+        hyp = ordered & (bc >= ef > 0.0) & ((psi_v < 0.0) | (psi_u < 0.0))
+    else:
+        raise DomainError(f"unknown lemma id {which!r}")
+    return hyp, bc * psi_u - ef * psi_v <= _CONCLUSION_SLACK
 
 
 _YOUNG_TOL = 1e-14
@@ -309,8 +310,9 @@ def run_sec4_campaign(params, samples=1000, seed=42, tol_scale=1e3):
     best_slack = math.inf
     witness = (0.0, 0.0, 0.0)
     for spec in sample_affine_specs(samples, seed):
-        gated = any(lemma_sign_check(spec, params, xs, which).hypotheses_hold.all()
-                    for which in ("L42", "L43"))
+        u, v = _affine_forms(spec, xs)
+        psi_u, psi_v = psi_pq(np.stack([u, v]), params)  # one evaluation gates both lemmas
+        gated = any(_lemma(spec, u <= v, psi_u, psi_v, which)[0].all() for which in ("L42", "L43"))
         evaluations += 2 * len(xs)
         if not gated:
             skipped += 1

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .qcore import _CHUNK, DomainError, PQParams, SeriesControl, TruncationError
+from .qcore import _CHUNK, _REL_TOL, DomainError, PQParams, TruncationError
 from .qcore import _geometric_series, _positive_array, _pq_constants
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -32,6 +32,8 @@ _PSI_ASY = (
 
 _SHIFT = 10.0
 
+_M_MAX_TERMS = 10**6  # cap of the psi_pq_deriv m-series, which has no up-front term count
+
 
 def psi_pq(x, params: PQParams):
     """psi_{p,q}(x) = ln[p]_q + ln q * sum_{k=0}^{p} q^{x+k}/(1 - q^{x+k}).
@@ -48,12 +50,12 @@ def psi_pq(x, params: PQParams):
     return float(out) if out.ndim == 0 else out
 
 
-def psi_pq_deriv(x, params: PQParams, order, ctl=SeriesControl()):
+def psi_pq_deriv(x, params: PQParams, order):
     """n-th derivative of psi_{p,q} via the m-series
 
     (ln q)^{n+1} sum_{m>=1} m^n q^{mx} (1 - q^{m(p+1)}) / (1 - q^m),
 
-    truncated once past the term peak and below rel_tol * |partial sum|.
+    truncated once past the term peak and below 1e-14 * |partial sum|.
     """
     n = int(order)
     if x <= 0:
@@ -66,17 +68,17 @@ def psi_pq_deriv(x, params: PQParams, order, ctl=SeriesControl()):
     total = 0.0
     m0 = 1
     block = 256
-    while m0 <= ctl.max_terms:
-        m1 = min(m0 + block, ctl.max_terms + 1)
+    while m0 <= _M_MAX_TERMS:
+        m1 = min(m0 + block, _M_MAX_TERMS + 1)
         ms = np.arange(m0, m1, dtype=float)
         qm = np.exp(ms * lq)
         terms = ms**n * np.exp(ms * (x * lq)) * (1.0 - np.exp(ms * ((p + 1) * lq))) / (1.0 - qm)
         total += float(terms.sum())
-        if ms[-1] > peak and terms[-1] < ctl.rel_tol * abs(total):
+        if ms[-1] > peak and terms[-1] < _REL_TOL * abs(total):
             return lq ** (n + 1) * total
         m0 = m1
     raise TruncationError(
-        f"psi_pq derivative series (x={x}, p={p}, q={q}, n={n}) hit max_terms={ctl.max_terms}"
+        f"psi_pq derivative series (x={x}, p={p}, q={q}, n={n}) hit {_M_MAX_TERMS} terms"
     )
 
 
@@ -106,23 +108,23 @@ def _polylog_neg(n):
     return li
 
 
-def psi_q(x, q, ctl=SeriesControl()):
+def psi_q(x, q):
     """psi_q(x) for 0<q<1 and q>1 from S = sum_{k>=0} Li_0(r^{x+k}), r = min(q, 1/q).
 
     Li_0(z)/z is nondecreasing, so the tail after the last summed term t is at most
-    t r/(1-r); S is summed until that certified bound is <= ctl.rel_tol * S."""
+    t r/(1-r); S is summed until that certified bound is <= 1e-14 * S."""
     if x <= 0:
         raise DomainError(f"x must be positive, got {x!r}")
     if q <= 0 or q == 1.0:
         raise DomainError(f"q must be positive and != 1, got {q!r}")
     lr = -abs(math.log(q))  # ln r
-    s = _geometric_series(_polylog_neg(0), x * lr, lr, ctl)[0]
+    s = _geometric_series(_polylog_neg(0), x * lr, lr)[0]
     if q < 1.0:
         return -math.log1p(-q) + math.log(q) * s
     return -math.log(q - 1.0) + math.log(q) * (x - 0.5 - s)
 
 
-def psi_q_deriv(x, q, order, ctl=SeriesControl()):
+def psi_q_deriv(x, q, order):
     """n-th derivative of psi_q, implementing the cited series for each branch.
 
     0<q<1: (ln q)^{n+1} sum m^n q^{mx}/(1-q^m).
@@ -131,7 +133,7 @@ def psi_q_deriv(x, q, order, ctl=SeriesControl()):
 
     The m-sums are summed as sum_{k>=0} Li_{-n}(q^{x+k}) (q<1) and sum_{j>=1} Li_{-n}(q^{-xj})
     (q>1).  Li_{-n}(z)/z is nondecreasing, so with r = q or q^{-x} the tail after the last
-    summed term t is at most t r/(1-r); each sum stops once that is <= ctl.rel_tol * sum.
+    summed term t is at most t r/(1-r); each sum stops once that is <= 1e-14 * sum.
     """
     n = int(order)
     if x <= 0:
@@ -142,8 +144,8 @@ def psi_q_deriv(x, q, order, ctl=SeriesControl()):
         raise DomainError(f"q must be positive and != 1, got {q!r}")
     lq = math.log(q)
     if q < 1.0:
-        return lq ** (n + 1) * _geometric_series(_polylog_neg(n), x * lq, lq, ctl)[0]
-    s = _geometric_series(_polylog_neg(n), -x * lq, -x * lq, ctl)[0]
+        return lq ** (n + 1) * _geometric_series(_polylog_neg(n), x * lq, lq)[0]
+    s = _geometric_series(_polylog_neg(n), -x * lq, -x * lq)[0]
     if n == 1:
         return lq * (1.0 + s)
     return (-1.0) ** (n - 1) * lq ** (n + 1) * s

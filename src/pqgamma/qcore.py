@@ -36,20 +36,6 @@ class PQParams:
             raise DomainError(f"q must lie strictly inside (0,1), got {self.q!r}")
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for infinite series/products."""
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10**6
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms!r}")
-
-
 def q_bracket(n, q):
     """[n]_q = (1 - q^n)/(1 - q), safe for q arbitrarily close to 1.
 
@@ -97,22 +83,24 @@ def _pq_constants(p, q):
 
 
 _CHUNK = 1 << 14  # most terms evaluated in one numpy call
+_REL_TOL = 1e-14  # relative tail bound every q-series meets
+_MAX_TERMS = 10**9  # about 10 s of summing; r closer to 1 than ~1 - 5e-8 needs more
 
 
-def _geometric_series(g, y0, lr, ctl):
+def _geometric_series(g, y0, lr):
     """sum_{j>=0} g(y0 + j lr) for 0 < r = e^lr < 1; returns (value, terms, bound).
 
     g maps y = ln z to the terms, so that it can take 1 - z from -expm1(y).  Every
     g used has one sign and |g(z)|/z nondecreasing, so |g(rz)| <= r |g(z)| and the
     tail after the last summed term t is at most bound = |t| r/(1-r).  As |sum| >= |t_0|,
-    J = ceil(ln(rel_tol (1-r)) / ln r) terms always meet rel_tol; J > max_terms raises
+    J = ceil(ln(_REL_TOL (1-r)) / ln r) terms always meet _REL_TOL; J > _MAX_TERMS raises
     TruncationError before any evaluation.  Chunks of at most _CHUNK terms are summed
-    until bound <= rel_tol * |sum|.
+    until bound <= _REL_TOL * |sum|.
     """
-    need = max(1, math.ceil((math.log(ctl.rel_tol) + math.log(-math.expm1(lr))) / lr))
-    if need > ctl.max_terms:
+    need = max(1, math.ceil((math.log(_REL_TOL) + math.log(-math.expm1(lr))) / lr))
+    if need > _MAX_TERMS:
         raise TruncationError(f"series in r={math.exp(lr)!r} needs {need} terms for its tail "
-                              f"bound, over max_terms={ctl.max_terms}")
+                              f"bound, over the cap of {_MAX_TERMS}")
     ratio = 1.0 / math.expm1(-lr)  # r/(1-r)
     total, done = 0.0, 0
     while done < need:
@@ -121,14 +109,14 @@ def _geometric_series(g, y0, lr, ctl):
         total += float(terms.sum())
         done += n
         bound = abs(float(terms[-1])) * ratio
-        if bound <= ctl.rel_tol * abs(total):
+        if bound <= _REL_TOL * abs(total):
             break
     return total, done, bound
 
 
-def log_q_pochhammer_inf(a, q, ctl=SeriesControl()):
+def log_q_pochhammer_inf(a, q):
     """ln (a;q)_inf = sum_{j>=0} ln(1 - a q^j), summed until its tail bound |t| q/(1-q)
-    after the last summed term t (valid as -ln(1-z)/z is nondecreasing) is <= rel_tol * |sum|.
+    after the last summed term t (valid as -ln(1-z)/z is nondecreasing) is <= 1e-14 * |sum|.
     """
     if not (0.0 <= a < 1.0):
         raise DomainError(f"a must lie in [0,1), got {a!r}")
@@ -136,4 +124,4 @@ def log_q_pochhammer_inf(a, q, ctl=SeriesControl()):
         raise DomainError(f"q must lie strictly inside (0,1), got {q!r}")
     if a == 0.0:
         return 0.0
-    return _geometric_series(lambda y: np.log1p(-np.exp(y)), math.log(a), math.log(q), ctl)[0]
+    return _geometric_series(lambda y: np.log1p(-np.exp(y)), math.log(a), math.log(q))[0]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pqgamma import paperfuncs
 from pqgamma.gammafam import log_gamma_pq
 from pqgamma.monocheck import _LCG, GridSpec
 from pqgamma.paperfuncs import (
@@ -196,3 +197,17 @@ class TestSec4Reference:
         result = run_sec4_campaign(PQParams(3, 0.5), samples=200, seed=42)
         assert result["verdict"] == "pass"
         assert result["min_slack"] > 0.0
+
+    def test_one_psi_evaluation_per_spec(self, monkeypatch):
+        # the L42 and L43 gates share one psi_pq call on the spec's 42 affine points
+        calls = []
+
+        def spy(x, params):
+            calls.append(np.shape(x))
+            return psi_pq(x, params)
+
+        monkeypatch.setattr(paperfuncs, "psi_pq", spy)
+        result = run_sec4_campaign(PQParams(3, 0.5), samples=60, seed=42)
+        assert calls == [(2, 21)] * 60
+        assert result["skipped"] > 0
+        assert result["evaluations"] == 2 * 21 * 60 + 21 * result["qualified"]

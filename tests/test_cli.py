@@ -8,7 +8,8 @@ import pytest
 from pqgamma.cli import gaps_nonincreasing, limit_rows, main
 from pqgamma.gammafam import log_gamma_q
 from pqgamma.paperfuncs import run_sec4_campaign, sample_affine_specs
-from pqgamma.qcore import PQParams, SeriesControl
+from pqgamma.psifam import psi_q
+from pqgamma.qcore import PQParams
 
 
 def run(capsys, *argv):
@@ -73,9 +74,29 @@ class TestEval:
         x, q = 1.5, 1.00001
         code, out, err = run(capsys, "eval", "--fn", "gamma_q", "--x", str(x), "--q", str(q))
         assert code == 0, err
-        mirror = log_gamma_q(x, 1 / q, SeriesControl(max_terms=10**8))
+        mirror = log_gamma_q(x, 1 / q)
         expected = q ** ((x - 1) * (x - 2) / 2) * math.exp(mirror)
         assert float(parse_csv(out)[0]["output"]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("fn, value", [("gamma_q", lambda x, q: math.exp(log_gamma_q(x, q))),
+                                           ("psi_q", psi_q)])
+    def test_q_series_near_one_matches_library(self, capsys, fn, value):
+        # 4.37e6 terms: the library call needs no term budget to agree with the CLI
+        x, q = 1.5, 1 - 1e-5
+        code, out, err = run(capsys, "eval", "--fn", fn, "--x", str(x), "--q", repr(q))
+        assert code == 0, err
+        assert float(parse_csv(out)[0]["output"]) == value(x, q)
+
+    @pytest.mark.parametrize("argv", [
+        ("--fn", "f1", "--x", "0", "--p", "3", "--q", "0.5", "--abc", "1e-300,1,1000,1,1,1"),
+        ("--fn", "gamma", "--x", "200"),
+        ("--fn", "gamma_pq", "--x", "300", "--p", "1000", "--q", "0.9999"),
+    ])
+    def test_overflow_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_out_file_duplicates_stdout(self, capsys, tmp_path):
         path = tmp_path / "row.csv"
@@ -161,6 +182,13 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "points" in err
+
+    @pytest.mark.parametrize("bound", ["--hi=inf", "--lo=-inf", "--hi=nan"])
+    def test_ineq_lemma21_rejects_non_finite_bounds(self, capsys, bound):
+        code, out, err = run(capsys, "verify", "ineq-lemma21", "--points", "8", bound)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_ineq_lemma21_draws_from_lo_hi(self, capsys):
         code, out, _ = run(capsys, "verify", "ineq-lemma21", "--points", "10",

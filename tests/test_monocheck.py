@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgamma.monocheck import (
+    _STEPS,
     GridSpec,
     MonotonicityReport,
     check_cm,
@@ -85,14 +86,28 @@ class TestGridSpec:
             GridSpec(2.0, 1.0)
         with pytest.raises(DomainError):
             GridSpec(0.0, 1.0, max_order=9)
-        with pytest.raises(DomainError):
-            GridSpec(0.0, 1.0, steps=(0.1, -0.5))
+        for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+            with pytest.raises(DomainError):
+                GridSpec(lo, hi)
 
     def test_stencils_stay_inside(self):
-        grid = GridSpec(0.0, 1.0, points=16, steps=(0.3,), max_order=6)
-        for x in grid.xs():
-            n = min(grid.max_order, int((grid.hi - x) / 0.3 + 1e-12))
-            assert x + n * 0.3 <= grid.hi + 1e-12
+        # every abscissa a campaign evaluates is x + j h for a grid point x and an
+        # h of _STEPS, and none leaves [lo, hi]
+        grid = GridSpec(0.5, 2.0, points=16, max_order=6)
+        stencils = {x0 + j * h for x0 in grid.xs() for h in _STEPS for j in range(7)}
+        for check in (check_cm, check_lcm):
+            seen = []
+
+            def f(x):
+                seen.append(x)
+                return math.exp(-x)
+
+            report = check(f, grid)
+            assert report.evaluations == len(seen)
+            assert all(grid.lo <= x <= grid.hi + 1e-12 for x in seen)
+            assert set(seen) <= stencils
+            for h in _STEPS:  # each step is used
+                assert any(x0 in seen and x0 + h in seen for x0 in grid.xs())
 
 
 class TestCheckCM:

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from pqgamma.qcore import (
     DomainError,
     PQParams,
-    SeriesControl,
-    TruncationError,
     log_q_factorial,
     log_q_pochhammer_inf,
     q_bracket,
@@ -86,10 +84,6 @@ class TestLogQPochhammer:
         direct = math.fsum(math.log1p(-a * q**j) for j in range(10**4))
         assert log_q_pochhammer_inf(a, q) == pytest.approx(direct, abs=1e-12)
 
-    def test_term_cap_raises(self):
-        with pytest.raises(TruncationError):
-            log_q_pochhammer_inf(0.9, 0.99, SeriesControl(max_terms=10))
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             log_q_pochhammer_inf(1.0, 0.5)
@@ -107,10 +101,3 @@ class TestParamTypes:
     def test_pqparams_rejects_float_p(self):
         with pytest.raises(DomainError):
             PQParams(2.5, 0.5)
-
-    def test_series_control_validation(self):
-        SeriesControl()
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)

@@ -6,10 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from pqgamma import qcore
+from pqgamma import gammafam, qcore
+from pqgamma.cli import main
 from pqgamma.gammafam import log_gamma_q
 from pqgamma.psifam import _polylog_neg, psi_q, psi_q_deriv
-from pqgamma.qcore import SeriesControl, TruncationError, _geometric_series, log_q_pochhammer_inf
+from pqgamma.qcore import TruncationError, _geometric_series, log_q_pochhammer_inf
 
 
 def lerch_mp(s, L, y, head=40, em_terms=30):
@@ -45,7 +46,8 @@ def ref_psi_q(x, q):
         return float(-mpmath.log(q - 1) + mpmath.log(q) * (x - mpmath.mpf(1) / 2 - s))
 
 
-@pytest.mark.parametrize("q", [0.999, 0.9999, 1.001])
+# q = 1 - 1e-5 needs ~4.4e6 terms, under the kernel's cap of 1e9
+@pytest.mark.parametrize("q", [0.999, 0.9999, 1.001, 1 - 1e-5])
 @pytest.mark.parametrize("x", [0.5, 3.7])
 def test_near_q_one_against_reference(x, q):
     assert psi_q(x, q) == pytest.approx(ref_psi_q(x, q), rel=1e-12)
@@ -79,9 +81,10 @@ TAIL_CASES += [(-3, _polylog_neg(3), 0.5, 0.5), (-3, _polylog_neg(3), 2.0, 0.9)]
 
 
 @pytest.mark.parametrize("s,g,x,q", TAIL_CASES)
-def test_bound_covers_true_tail(s, g, x, q):
+def test_bound_covers_true_tail(s, g, x, q, monkeypatch):
+    monkeypatch.setattr(qcore, "_REL_TOL", 1e-6)
     L = math.log(q)
-    value, terms, bound = _geometric_series(g, x * L, L, SeriesControl(rel_tol=1e-6))
+    value, terms, bound = _geometric_series(g, x * L, L)
     with mpmath.workdps(30):
         exact = lerch_mp(s, L, x)
         if s == 1:
@@ -94,14 +97,14 @@ def test_bound_covers_true_tail(s, g, x, q):
 
 
 def test_terms_match_up_front_count():
-    ctl = SeriesControl()
     r = 0.5
-    need = math.ceil(math.log(ctl.rel_tol * (1 - r)) / math.log(r))
-    _, terms, _ = _geometric_series(_polylog_neg(0), 0.5 * math.log(r), math.log(r), ctl)
+    need = math.ceil(math.log(qcore._REL_TOL * (1 - r)) / math.log(r))
+    _, terms, _ = _geometric_series(_polylog_neg(0), 0.5 * math.log(r), math.log(r))
     assert terms == need == 48
 
 
-def test_term_cap_raises_before_any_chunk(monkeypatch):
+def spy_kernel(monkeypatch, module):
+    """Route module's _geometric_series through a spy; returns (kernel calls, chunk sizes)."""
     kernel_calls, chunks = [], []
 
     def spy(g, *args):
@@ -113,8 +116,25 @@ def test_term_cap_raises_before_any_chunk(monkeypatch):
 
         return _geometric_series(counted, *args)
 
-    monkeypatch.setattr(qcore, "_geometric_series", spy)
+    monkeypatch.setattr(module, "_geometric_series", spy)
+    return kernel_calls, chunks
+
+
+def test_term_cap_raises_before_any_chunk(monkeypatch):
+    kernel_calls, chunks = spy_kernel(monkeypatch, qcore)
     with pytest.raises(TruncationError):
-        log_q_pochhammer_inf(0.9, 1 - 1e-12, SeriesControl(max_terms=10**8))
+        log_q_pochhammer_inf(0.9, 1 - 1e-12)
+    assert len(kernel_calls) == 1
+    assert chunks == []
+
+
+@pytest.mark.parametrize("q", ["0.99999999", "1.00000001"])
+def test_cli_over_term_cap_exits_2_before_any_chunk(q, monkeypatch, capsys):
+    """About 5e9 terms at q = 1 -+ 1e-8, over the cap of 1e9: exit 2 with nothing summed."""
+    kernel_calls, chunks = spy_kernel(monkeypatch, gammafam)
+    assert main(["eval", "--fn", "gamma_q", "--x", "1.5", "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert len(kernel_calls) == 1
     assert chunks == []
