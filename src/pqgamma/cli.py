@@ -10,6 +10,7 @@ as well.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -79,12 +80,6 @@ def _emit(records, fmt, out_path):
             fh.write(text)
 
 
-def _need(args, names, fn):
-    for name in names:
-        if getattr(args, name.replace("-", "_"), None) is None:
-            raise UsageError(f"missing argument --{name} for function {fn}")
-
-
 def _parse_vector(text, flag):
     try:
         return tuple(float(v) for v in text.split(","))
@@ -110,7 +105,8 @@ def _affine_spec(args):
 # ---------------------------------------------------------------------------
 # eval
 
-# --fn name -> (flags, value(args)); the flags are both required and echoed, in order
+# --fn name -> (flags, value(args)); the flags are the only ones it takes, echoed in order,
+# and all required but --variant, which defaults to the statement's reading
 FUNCTIONS = {
     "gamma_pq": (("x", "p", "q"), lambda a: math.exp(log_gamma_pq(a.x, _pq(a)))),
     "gamma_p": (("x", "p"), lambda a: math.exp(log_gamma_p(a.x, a.p))),
@@ -129,13 +125,22 @@ FUNCTIONS = {
     "f1": (("x", "p", "q", "abc"), lambda a: f1(a.x, _affine_spec(a), _pq(a))),
 }
 
+# the function flags of eval and table besides --x, which every function reads
+_FN_FLAGS = ("p", "q", "n", "a", "b", "s", "t", "beta", "abc", "variant")
+
 
 def _eval_value(args):
-    if args.fn not in FUNCTIONS:
-        raise UsageError(f"unknown function {args.fn!r}")
     flags, value = FUNCTIONS[args.fn]
-    _need(args, flags, args.fn)
-    return value(args), {name: getattr(args, name) for name in flags}
+    if "variant" in flags and args.variant is None:
+        args.variant = "as_defined"
+    for name in ("x",) + _FN_FLAGS:
+        if (name in flags) != (getattr(args, name) is not None):
+            verb = "needs" if name in flags else "does not take"
+            raise UsageError(f"function {args.fn} {verb} --{name}")
+    v = value(args)
+    if not math.isfinite(v):
+        raise OverflowError(f"{args.fn} gives {v!r}")
+    return v, {name: getattr(args, name) for name in flags}
 
 
 def cmd_eval(args):
@@ -197,13 +202,14 @@ def _report_record(campaign, case, report, grid, tol_scale, extra=None):
     return rec
 
 
-def _grid(args, lo, hi, points=64, max_order=6):
+def _grid(args, lo, hi, max_order=6):
+    # the stencil campaigns draw nothing at random and keep GridSpec's seed
     return GridSpec(
         lo=args.lo if args.lo is not None else lo,
         hi=args.hi if args.hi is not None else hi,
-        points=args.points if args.points is not None else points,
+        points=args.points,
         max_order=max_order,
-        seed=args.seed,
+        seed=getattr(args, "seed", GridSpec.seed),
     )
 
 
@@ -225,8 +231,6 @@ def _verify_cm_psi_prime(args, tol_scale):
 
 
 def _verify_cm_G(args, tol_scale):
-    if args.a is None or args.b is None:
-        raise UsageError("campaign cm-G needs --a and --b shift vectors")
     spec = _ratio_spec(args)
     violation = validate_ratio_spec(spec)
     if violation is not None:
@@ -262,10 +266,6 @@ def _verify_lemma21(args, tol_scale):
 
 
 def _verify_sec4(args, tol_scale):
-    given = [f"--{name}" for name in ("points", "lo", "hi") if getattr(args, name) is not None]
-    if given:
-        raise UsageError(f"campaign ineq-sec4 has a fixed 21-point grid on [0, 1]; "
-                         f"{', '.join(given)} do not apply")
     params = _pq(args)
     result = run_sec4_campaign(params, samples=args.samples, seed=args.seed,
                                tol_scale=tol_scale)
@@ -277,19 +277,22 @@ def _verify_sec4(args, tol_scale):
               "skipped": result["skipped"], "p": params.p, "q": params.q})]
 
 
+_STENCIL_FLAGS = ("p", "q", "lo", "hi", "points", "tol-scale")
+
+# campaign -> (runner, the flags it reads); a trailing ! marks a required flag
 CAMPAIGNS = {
-    "logconvex-gamma": _verify_logconvex_gamma,
-    "cm-psi-prime": _verify_cm_psi_prime,
-    "cm-G": _verify_cm_G,
-    "lcm-f32": _verify_lcm_f32,
-    "lcm-h": _verify_lcm_h,
-    "ineq-lemma21": _verify_lemma21,
-    "ineq-sec4": _verify_sec4,
+    "logconvex-gamma": (_verify_logconvex_gamma, _STENCIL_FLAGS + ("seed",)),
+    "cm-psi-prime": (_verify_cm_psi_prime, _STENCIL_FLAGS),
+    "cm-G": (_verify_cm_G, _STENCIL_FLAGS + ("a!", "b!")),
+    "lcm-f32": (_verify_lcm_f32, _STENCIL_FLAGS),
+    "lcm-h": (_verify_lcm_h, _STENCIL_FLAGS + ("s", "t", "beta")),
+    "ineq-lemma21": (_verify_lemma21, ("lo", "hi", "points", "seed", "tol-scale")),
+    "ineq-sec4": (_verify_sec4, ("p", "q", "samples", "seed", "tol-scale")),
 }
 
 
 def cmd_verify(args):
-    results = CAMPAIGNS[args.campaign](args, args.tol_scale)
+    results = args.runner(args, args.tol_scale)
     _emit([_report_record(args.campaign, case, report, grid, args.tol_scale, extra)
            for case, report, grid, extra in results], args.format, args.out)
     # lcm-f32: the statement and the proof define different functions; the check
@@ -300,15 +303,16 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # limits
 
-CORNERS = ("p-to-q", "q-to-p", "p-gamma", "q-gamma", "psi-diagram")
+# corner -> the flags it reads, marked as in CAMPAIGNS
+CORNERS = {
+    "p-to-q": ("x!", "ladder", "q"),
+    "q-to-p": ("x!", "ladder", "p"),
+    "p-gamma": ("x!", "ladder"),
+    "q-gamma": ("x!", "ladder"),
+    "psi-diagram": ("x!", "ladder", "p", "q"),
+}
 
 _GAP_TOL = 1e-10  # noise floor of the long log-sums at large p
-
-
-def _ladder(args):
-    if args.ladder is None:
-        return None
-    return [float(v) for v in args.ladder.split(",")]
 
 
 def limit_rows(corner, x, ladder=None, p=None, q=None):
@@ -371,10 +375,9 @@ def gaps_nonincreasing(rows, tol=_GAP_TOL):
 
 
 def cmd_limits(args):
-    if args.x is None or args.x <= 0:
-        raise UsageError("limits needs --x > 0")
-    rows = limit_rows(args.corner, args.x, ladder=_ladder(args),
-                      p=args.p, q=args.q)
+    ladder = None if args.ladder is None else _parse_vector(args.ladder, "ladder")
+    rows = limit_rows(args.corner, args.x, ladder=ladder,
+                      p=getattr(args, "p", None), q=getattr(args, "q", None))
     records = [{"corner": args.corner, "edge": edge, "parameter": param, "gap": gap}
                for edge, param, gap in rows]
     _emit(records, args.format, args.out)
@@ -387,85 +390,70 @@ def cmd_limits(args):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # argparse exits 2 by default; keep the message on stderr
+        # main reports the message and returns 2, as for every other usage error
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        sys.exit(USAGE_ERROR)
+        raise UsageError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None, help="also write output bytes to this file")
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--tol-scale", type=float, default=1000.0)
+# flag -> argparse keywords, shared by every command, campaign and corner that reads it
+_FLAGS = {
+    "fn": {"choices": FUNCTIONS},
+    "x": {"type": float},
+    "p": {"type": int},
+    "q": {"type": float},
+    "n": {"type": int},
+    "a": {},
+    "b": {},
+    "s": {"type": float},
+    "t": {"type": float},
+    "beta": {"type": float},
+    "abc": {},
+    "variant": {"choices": ("as_defined", "as_proved")},
+    "lo": {"type": float},
+    "hi": {"type": float},
+    "count": {"type": int},
+    "points": {"type": int, "default": 64},
+    "samples": {"type": int, "default": 1000},
+    "seed": {"type": int, "default": 42},
+    "tol-scale": {"type": float, "default": 1000.0},
+    "ladder": {"help": "comma-separated parameter ladder"},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "out": {"help": "also write output bytes to this file"},
+}
 
 
-def _add_fn_args(sub):
-    sub.add_argument("--fn", required=True)
-    sub.add_argument("--x", type=float)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--a")
-    sub.add_argument("--b")
-    sub.add_argument("--s", type=float)
-    sub.add_argument("--t", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--abc")
-    sub.add_argument("--variant", choices=("as_defined", "as_proved"),
-                     default="as_defined")
+def _add_parser(subs, name, flags, help=None, **defaults):
+    """A subcommand that takes exactly the given flags (a trailing ! marks a required one),
+    plus --format and --out."""
+    sub = subs.add_parser(name, help=help, allow_abbrev=False)
+    for entry in flags + ("format", "out"):
+        flag = entry.rstrip("!")
+        sub.add_argument(f"--{flag}", required=entry.endswith("!"), **_FLAGS[flag])
+    sub.set_defaults(**defaults)
 
 
+@functools.cache
 def build_parser():
-    parser = _Parser(prog="pqgamma", description=__doc__)
+    parser = _Parser(prog="pqgamma", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = subs.add_parser("eval", help="evaluate one function at a point")
-    _add_fn_args(p_eval)
-    _add_common(p_eval)
-    p_eval.set_defaults(handler=cmd_eval)
-
-    p_table = subs.add_parser("table", help="tabulate one function over a range")
-    _add_fn_args(p_table)
-    p_table.add_argument("--lo", type=float, required=True)
-    p_table.add_argument("--hi", type=float, required=True)
-    p_table.add_argument("--count", type=int, required=True)
-    _add_common(p_table)
-    p_table.set_defaults(handler=cmd_table)
-
-    p_verify = subs.add_parser("verify", help="run a theorem verification campaign")
-    p_verify.add_argument("campaign", choices=CAMPAIGNS)
-    p_verify.add_argument("--p", type=int)
-    p_verify.add_argument("--q", type=float)
-    p_verify.add_argument("--a")
-    p_verify.add_argument("--b")
-    p_verify.add_argument("--s", type=float)
-    p_verify.add_argument("--t", type=float)
-    p_verify.add_argument("--beta", type=float)
-    p_verify.add_argument("--lo", type=float)
-    p_verify.add_argument("--hi", type=float)
-    p_verify.add_argument("--points", type=int)
-    p_verify.add_argument("--samples", type=int, default=1000)
-    _add_common(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_limits = subs.add_parser("limits", help="commutative-diagram convergence ladders")
-    p_limits.add_argument("corner", choices=CORNERS)
-    p_limits.add_argument("--x", type=float, required=True)
-    p_limits.add_argument("--ladder", default=None,
-                          help="comma-separated parameter ladder")
-    p_limits.add_argument("--p", type=int)
-    p_limits.add_argument("--q", type=float)
-    _add_common(p_limits)
-    p_limits.set_defaults(handler=cmd_limits)
-
+    _add_parser(subs, "eval", ("fn!", "x") + _FN_FLAGS,
+                help="evaluate one function at a point", handler=cmd_eval)
+    _add_parser(subs, "table", ("fn!",) + _FN_FLAGS + ("lo!", "hi!", "count!"),
+                help="tabulate one function over a range", handler=cmd_table)
+    verify = subs.add_parser("verify", help="run a theorem verification campaign",
+                             allow_abbrev=False).add_subparsers(dest="campaign", required=True)
+    for name, (runner, flags) in CAMPAIGNS.items():
+        _add_parser(verify, name, flags, handler=cmd_verify, runner=runner)
+    limits = subs.add_parser("limits", help="commutative-diagram convergence ladders",
+                             allow_abbrev=False).add_subparsers(dest="corner", required=True)
+    for name, flags in CORNERS.items():
+        _add_parser(limits, name, flags, handler=cmd_limits)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (UsageError, DomainError, TruncationError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -14,27 +14,13 @@ import numpy as np
 from .qcore import (
     DomainError,
     PQParams,
+    _check_q,
+    _check_x,
     _geometric_series,
     _pq_constants,
     _positive_array,
     log_q_bracket,
 )
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
-# B_{2n} / (2n (2n-1)) for the Stirling series of ln Gamma
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-_SHIFT = 10.0  # recurrence pushes the argument above this before the series
 
 
 def log_gamma_pq(x, params: PQParams):
@@ -52,8 +38,7 @@ def log_gamma_pq(x, params: PQParams):
 
 def log_gamma_p(x, p):
     """ln Gamma_p(x) = x ln p + sum_{k=1}^{p} ln k - sum_{k=0}^{p} ln(x+k)."""
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    _check_x(x)
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError(f"p must be a positive integer, got {p!r}")
     num = np.log(np.arange(1, p + 1, dtype=float)).sum()
@@ -68,10 +53,8 @@ def log_gamma_q(x, q):
     nondecreasing, so the tail after the last summed term t is at most |t| r/(1-r).
     The 1e-14 relative tail bound applies to this combined sum, not to each product.
     """
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
-    if q <= 0 or q == 1.0:
-        raise DomainError(f"q must be positive and != 1, got {q!r}")
+    _check_x(x)
+    _check_q(q)
     lr = -abs(math.log(q))  # ln r
     c = math.exp(lr) * math.expm1((x - 1.0) * lr)  # r^x - r
     # terms ln((1 - r^{j+1})/(1 - r^{x+j})) = log1p(r^j (r^x - r)/(1 - r^{x+j})) at y = j ln r
@@ -82,18 +65,6 @@ def log_gamma_q(x, q):
 
 
 def log_gamma_classical(x):
-    """ln Gamma(x) by upward recurrence into the Stirling series region (x >= 10)."""
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
-    shifted = []
-    z = x
-    while z < _SHIFT:
-        shifted.append(math.log(z))
-        z += 1.0
-    r2 = 1.0 / (z * z)
-    series = 0.0
-    for c in reversed(_STIRLING):
-        series = series * r2 + c
-    series /= z  # sum_k c_k z^{-(2k-1)}
-    val = (z - 0.5) * math.log(z) - z + 0.5 * _LOG_2PI + series
-    return val - math.fsum(shifted)
+    """ln Gamma(x) for 0 < x < inf, from the standard library."""
+    _check_x(x)
+    return math.lgamma(x)

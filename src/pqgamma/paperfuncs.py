@@ -18,7 +18,7 @@ import numpy as np
 from .gammafam import log_gamma_pq
 from .monocheck import _EPS, _LCG, GridSpec, MonotonicityReport
 from .psifam import psi_pq
-from .qcore import DomainError, PQParams, q_bracket
+from .qcore import DomainError, PQParams, _check_x, q_bracket
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ def log_G_pq(x, spec: RatioSpec, params: PQParams):
     violation = validate_ratio_spec(spec)
     if violation is not None:
         raise DomainError(f"invalid RatioSpec: {violation}")
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    _check_x(x)
     lg = log_gamma_pq(x + np.array(spec.a + spec.b), params)
     return math.fsum(lg[: len(spec.a)] - lg[len(spec.a):])
 
@@ -118,8 +117,7 @@ def f_theorem32(x, params: PQParams, variant="as_defined"):
     manipulates).  The two differ; both are exposed so campaigns can
     report each.
     """
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    _check_x(x)
     if variant == "as_defined":
         scale, lg = log_gamma_pq(np.array([1.0, x]), params)  # scale = ln([p]_q/[p+1]_q)
         return math.exp(-(scale + lg) / x)
@@ -130,8 +128,8 @@ def f_theorem32(x, params: PQParams, variant="as_defined"):
 
 def phi(u, spec: TwoPointSpec, params: PQParams):
     """psi_{p,q}(u+s) - psi_{p,q}(u+t): the inner integral of psi'_{p,q} from t to s."""
-    if u + spec.s <= 0 or u + spec.t <= 0:
-        raise DomainError(f"u={u} leaves a psi argument nonpositive")
+    if not -spec.alpha < u < math.inf:
+        raise DomainError(f"u must lie in ({-spec.alpha}, inf), got {u!r}")
     psi_s, psi_t = psi_pq(np.array([u + spec.s, u + spec.t]), params)
     return float(psi_s - psi_t)
 
@@ -147,8 +145,8 @@ def h_beta(x, spec: TwoPointSpec, params: PQParams):
     removable singularity x = beta (radius 1e-6): exp of the midpoint
     psi difference, second-order accurate.
     """
-    if x <= -spec.alpha:
-        raise DomainError(f"x must exceed {-spec.alpha}, got {x}")
+    if not -spec.alpha < x < math.inf:
+        raise DomainError(f"x must lie in ({-spec.alpha}, inf), got {x!r}")
     s, t, beta = spec.s, spec.t, spec.beta
     if abs(x - beta) <= _H_SWITCH:
         return math.exp(phi(0.5 * (x + beta), spec, params))

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .qcore import _CHUNK, _REL_TOL, DomainError, PQParams, TruncationError
-from .qcore import _geometric_series, _positive_array, _pq_constants
+from .qcore import _check_q, _check_x, _geometric_series, _positive_array, _pq_constants
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -58,8 +58,7 @@ def psi_pq_deriv(x, params: PQParams, order):
     truncated once past the term peak and below 1e-14 * |partial sum|.
     """
     n = int(order)
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    _check_x(x)
     if n < 1:
         raise DomainError(f"derivative order must be >= 1, got {n!r}")
     p, q = params.p, params.q
@@ -84,8 +83,7 @@ def psi_pq_deriv(x, params: PQParams, order):
 
 def psi_p(x, p):
     """psi_p(x) = ln p - sum_{k=0}^{p} 1/(x+k), in chunks of _CHUNK terms to bound memory."""
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    _check_x(x)
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError(f"p must be a positive integer, got {p!r}")
     total = 0.0
@@ -113,10 +111,8 @@ def psi_q(x, q):
 
     Li_0(z)/z is nondecreasing, so the tail after the last summed term t is at most
     t r/(1-r); S is summed until that certified bound is <= 1e-14 * S."""
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
-    if q <= 0 or q == 1.0:
-        raise DomainError(f"q must be positive and != 1, got {q!r}")
+    _check_x(x)
+    _check_q(q)
     lr = -abs(math.log(q))  # ln r
     s = _geometric_series(_polylog_neg(0), x * lr, lr)[0]
     if q < 1.0:
@@ -136,12 +132,10 @@ def psi_q_deriv(x, q, order):
     summed term t is at most t r/(1-r); each sum stops once that is <= 1e-14 * sum.
     """
     n = int(order)
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    _check_x(x)
     if n < 1:
         raise DomainError(f"derivative order must be >= 1, got {n!r}")
-    if q <= 0 or q == 1.0:
-        raise DomainError(f"q must be positive and != 1, got {q!r}")
+    _check_q(q)
     lq = math.log(q)
     if q < 1.0:
         return lq ** (n + 1) * _geometric_series(_polylog_neg(n), x * lq, lq)[0]
@@ -153,8 +147,7 @@ def psi_q_deriv(x, q, order):
 
 def psi_classical(x):
     """Classical digamma by recurrence into the asymptotic region (x >= 10); oracle role."""
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    _check_x(x)
     acc = []
     z = x
     while z < _SHIFT:

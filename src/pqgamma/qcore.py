@@ -64,12 +64,26 @@ def log_q_factorial(p, q):
     return float(log_q_bracket(np.arange(1, p + 1), q).sum())
 
 
+def _check_x(x):
+    """DomainError unless 0 < x < inf, which a NaN x fails too."""
+    if not 0 < x < math.inf:
+        raise DomainError(f"x must be positive and finite, got {x!r}")
+
+
+def _check_q(q):
+    """DomainError unless 0 < q < inf and q != 1, the domain of the q-limit functions."""
+    if not 0 < q < math.inf or q == 1.0:
+        raise DomainError(f"q must be positive, finite and != 1, got {q!r}")
+
+
 def _positive_array(x):
-    """x as a float array, or DomainError if an element is <= 0.  A 0-d x is compared
-    as given, which is cheaper than an array reduction."""
+    """x as a float array, or DomainError unless every element lies in (0, inf).  A 0-d x
+    is compared as given, which is cheaper than array reductions."""
     xs = np.asarray(x, dtype=float)
-    if (x if xs.ndim == 0 else xs.min(initial=math.inf)) <= 0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    if xs.ndim == 0:
+        _check_x(x)
+    elif xs.size and not 0 < xs.min() <= xs.max() < math.inf:  # a NaN element makes min NaN
+        raise DomainError(f"x must be positive and finite, got {x!r}")
     return xs
 
 

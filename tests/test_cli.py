@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from pqgamma.cli import gaps_nonincreasing, limit_rows, main
+from pqgamma.cli import build_parser, gaps_nonincreasing, limit_rows, main
 from pqgamma.gammafam import log_gamma_q
 from pqgamma.paperfuncs import run_sec4_campaign, sample_affine_specs
 from pqgamma.psifam import psi_q
@@ -97,6 +97,36 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--fn", "gamma_q", "--x", "1.5", "--q", "nan"),
+        ("--fn", "gamma_q", "--x", "1.5", "--q", "inf"),
+        ("--fn", "gamma", "--x", "nan"),
+        ("--fn", "psi_pq_deriv", "--x", "nan", "--p", "3", "--q", "0.5", "--n", "1"),
+    ])
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--fn", "psi", "--x", "1e-320"),
+        ("--fn", "psi_pq", "--x", "1e-320", "--p", "3", "--q", "0.5"),
+        ("--fn", "psi_q", "--x", "1e-320", "--q", "0.5"),
+        ("--fn", "psi_p", "--x", "1e-320", "--p", "3"),
+    ])
+    def test_non_finite_output_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the value overflows a float") and err.count("\n") == 1
+
+    def test_non_finite_table_value_exits_2(self, capsys):
+        code, out, _ = run(capsys, "table", "--fn", "psi", "--lo", "1e-320", "--hi", "1",
+                           "--count", "3")
+        assert code == 2
+        assert out == ""
 
     def test_out_file_duplicates_stdout(self, capsys, tmp_path):
         path = tmp_path / "row.csv"
@@ -218,13 +248,6 @@ class TestVerify:
         assert row["verdict"] == "pass"
         assert float(row["min_slack"]) > 0.0
 
-    @pytest.mark.parametrize("flag, value", [("--points", "5"), ("--lo", "0.3"), ("--hi", "0.9")])
-    def test_ineq_sec4_rejects_grid_flags(self, capsys, flag, value):
-        code, out, err = run(capsys, "verify", "ineq-sec4", "--samples", "20", flag, value)
-        assert code == 2
-        assert out == ""
-        assert flag in err
-
     @pytest.mark.parametrize("campaign, extra, base", [
         ("ineq-sec4", ("--samples", "20"), 1e-10),
         ("ineq-lemma21", ("--points", "4"), 1e-14),
@@ -244,10 +267,26 @@ class TestVerify:
         assert out1 == out2
 
     def test_unknown_campaign_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "bogus"])
-        capsys.readouterr()
-        assert exc.value.code == 2
+        assert main(["verify", "bogus"]) == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_cm_G_needs_b(self, capsys):
+        code, out, err = run(capsys, "verify", "cm-G", "--a", "1,2", "--points", "4")
+        assert code == 2
+        assert out == ""
+        assert "--b" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "ineq-lemma21", "--p", "9", "--points", "4"),
+        ("verify", "cm-psi-prime", "--poi", "4"),
+        ("limits", "q-to-p", "--x", "2", "--lad", "0.9,0.99"),
+        ("eval", "--fn", "gamma", "--x", "1", "--form", "json"),
+    ])
+    def test_abbreviated_flags_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: ")
 
 
 class TestLimits:
@@ -276,6 +315,18 @@ class TestLimits:
     def test_bad_x_exits_2(self, capsys):
         code, _, _ = run(capsys, "limits", "p-gamma", "--x", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("corner", ["p-gamma", "q-gamma", "p-to-q", "q-to-p", "psi-diagram"])
+    def test_nan_x_exits_2(self, capsys, corner):
+        code, out, err = run(capsys, "limits", corner, "--x", "nan")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_x_is_required(self, capsys):
+        code, out, err = run(capsys, "limits", "p-gamma")
+        assert code == 2
+        assert "--x" in err
 
     def test_gaps_nonincreasing_helper(self):
         rows = [("e", 1, 1.0), ("e", 2, 0.5), ("e", 3, 0.5 + 1e-12)]
@@ -362,3 +413,78 @@ def test_limit_rows_rejects_unknown_corner():
 
     with pytest.raises(UsageError):
         limit_rows("sideways", 1.0)
+
+
+# Flags each entry reads besides --format and --out, as the README's CLI table lists them.
+VERIFY_READS = {
+    "logconvex-gamma": "p q lo hi points seed tol-scale",
+    "cm-psi-prime": "p q lo hi points tol-scale",
+    "lcm-f32": "p q lo hi points tol-scale",
+    "cm-G": "p q lo hi points tol-scale a b",
+    "lcm-h": "p q lo hi points tol-scale s t beta",
+    "ineq-lemma21": "lo hi points seed tol-scale",
+    "ineq-sec4": "p q samples seed tol-scale",
+}
+LIMITS_READS = {
+    "p-gamma": "x ladder",
+    "q-gamma": "x ladder",
+    "p-to-q": "x ladder q",
+    "q-to-p": "x ladder p",
+    "psi-diagram": "x ladder p q",
+}
+# eval reads the flags its record echoes; neither eval nor table takes --seed or --tol-scale
+EVAL_READS = {fn: " ".join(header.split(",")[1:-2]) for fn, (_, header) in EVAL_HEADERS.items()}
+FLAG_VALUES = {
+    "x": "1", "p": "5", "q": "0.5", "n": "1", "a": "1,2", "b": "1.5,2.5", "s": "2", "t": "1",
+    "beta": "0.5", "abc": "1,1,1,2,1,1", "variant": "as_proved", "lo": "0.3", "hi": "0.9",
+    "points": "5", "samples": "20", "seed": "7", "tol-scale": "10", "ladder": "10,100",
+}
+# the smallest valid invocation of each entry
+BASE_ARGV = {
+    "eval": lambda fn: ("eval", "--fn", fn, "--x", "0.5", *EVAL_HEADERS[fn][0]),
+    "verify": lambda c: ("verify", c, *(("--a", "1,2", "--b", "1.5,2.5") if c == "cm-G" else ())),
+    "limits": lambda corner: ("limits", corner, "--x", "1"),
+}
+
+
+def _unread_pairs():
+    pairs = []
+    for command, reads in (("eval", EVAL_READS), ("verify", VERIFY_READS),
+                           ("limits", LIMITS_READS)):
+        offered = set(" ".join(reads.values()).split()) | {"seed", "tol-scale"}
+        for entry, flags in reads.items():
+            pairs += [(command, entry, f) for f in sorted(offered - set(flags.split()))]
+    return pairs + [("table", "gamma", f) for f in ("x", "seed", "tol-scale", "p")]
+
+
+class TestUnreadFlags:
+    """No command, campaign, corner or function takes a flag that it does not read."""
+
+    @pytest.mark.parametrize("command, entry, flag", _unread_pairs())
+    def test_unread_flag_exits_2(self, capsys, command, entry, flag):
+        if command == "table":
+            argv = ("table", "--fn", entry, "--lo", "1", "--hi", "2", "--count", "3")
+        else:
+            argv = BASE_ARGV[command](entry)
+        code, out, err = run(capsys, *argv, f"--{flag}", FLAG_VALUES[flag])
+        assert code == 2
+        assert out == ""
+        assert f"--{flag} " in err.splitlines()[-1] + " "
+
+    @pytest.mark.parametrize("command, reads", [("verify", VERIFY_READS),
+                                                ("limits", LIMITS_READS)])
+    def test_every_read_flag_parses(self, command, reads):
+        # the negative test above only means something if each listed flag is accepted
+        for entry, flags in reads.items():
+            argv = list(BASE_ARGV[command](entry))
+            for f in flags.split():
+                if f"--{f}" not in argv:
+                    argv += [f"--{f}", FLAG_VALUES[f]]
+            args = build_parser().parse_args(argv)
+            assert args.handler is not None
+
+    def test_eval_names_the_unread_flag(self, capsys):
+        code, out, err = run(capsys, "eval", "--fn", "gamma", "--x", "1", "--p", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: function gamma does not take --p\n"
