@@ -21,7 +21,8 @@ from .gammafam import (
     log_gamma_pq,
     log_gamma_q,
 )
-from .monocheck import (
+from .monocheck import (  # the checks are looked up by name in _verify_stencil
+    _MAX_ORDER,
     GridSpec,
     MonotonicityReport,
     check_cm,
@@ -38,7 +39,6 @@ from .paperfuncs import (
     h_beta,
     log_G_pq,
     run_sec4_campaign,
-    validate_ratio_spec,
 )
 from .psifam import (
     psi_classical,
@@ -87,8 +87,11 @@ def _parse_vector(text, flag):
         raise UsageError(f"--{flag} expects comma-separated reals, got {text!r}")
 
 
-def _pq(args, p=3, q=0.5):
-    return PQParams(args.p if args.p is not None else p, args.q if args.q is not None else q)
+_VARIANTS = ("as_defined", "as_proved")  # the readings of f32
+
+
+def _pq(args):
+    return PQParams(args.p, args.q)
 
 
 def _ratio_spec(args):
@@ -102,62 +105,72 @@ def _affine_spec(args):
     return AffineInequalitySpec(*coeffs)
 
 
-# ---------------------------------------------------------------------------
-# eval
+def _at(fn, *rest):
+    return lambda x: fn(x, *rest)
 
-# --fn name -> (flags, value(args)); the flags are the only ones it takes, echoed in order,
-# and all required but --variant, which defaults to the statement's reading
+
+def _exp_at(log_fn, *rest):
+    return lambda x: math.exp(log_fn(x, *rest))
+
+
+# ---------------------------------------------------------------------------
+# eval and table
+
+# --fn name -> (flags, make); make(args) is the function of x at the other flags. The flags
+# are the only ones it takes, echoed in order, and all required but --variant, which
+# defaults to the statement's reading. make looks the library functions up when it runs,
+# so that a rebinding of them (a tracer, a test spy) is seen.
 FUNCTIONS = {
-    "gamma_pq": (("x", "p", "q"), lambda a: math.exp(log_gamma_pq(a.x, _pq(a)))),
-    "gamma_p": (("x", "p"), lambda a: math.exp(log_gamma_p(a.x, a.p))),
-    "gamma_q": (("x", "q"), lambda a: math.exp(log_gamma_q(a.x, a.q))),
-    "gamma": (("x",), lambda a: math.exp(log_gamma_classical(a.x))),
-    "psi_pq": (("x", "p", "q"), lambda a: psi_pq(a.x, _pq(a))),
-    "psi_pq_deriv": (("x", "p", "q", "n"), lambda a: psi_pq_deriv(a.x, _pq(a), a.n)),
-    "psi_p": (("x", "p"), lambda a: psi_p(a.x, a.p)),
-    "psi_q": (("x", "q"), lambda a: psi_q(a.x, a.q)),
-    "psi": (("x",), lambda a: psi_classical(a.x)),
-    "G_pq": (("x", "p", "q", "a", "b"),
-             lambda a: math.exp(log_G_pq(a.x, _ratio_spec(a), _pq(a)))),
-    "f32": (("x", "p", "q", "variant"), lambda a: f_theorem32(a.x, _pq(a), a.variant)),
+    "gamma_pq": (("x", "p", "q"), lambda a: _exp_at(log_gamma_pq, _pq(a))),
+    "gamma_p": (("x", "p"), lambda a: _exp_at(log_gamma_p, a.p)),
+    "gamma_q": (("x", "q"), lambda a: _exp_at(log_gamma_q, a.q)),
+    "gamma": (("x",), lambda a: _exp_at(log_gamma_classical)),
+    "psi_pq": (("x", "p", "q"), lambda a: _at(psi_pq, _pq(a))),
+    "psi_pq_deriv": (("x", "p", "q", "n"), lambda a: _at(psi_pq_deriv, _pq(a), a.n)),
+    "psi_p": (("x", "p"), lambda a: _at(psi_p, a.p)),
+    "psi_q": (("x", "q"), lambda a: _at(psi_q, a.q)),
+    "psi": (("x",), lambda a: _at(psi_classical)),
+    "G_pq": (("x", "p", "q", "a", "b"), lambda a: _exp_at(log_G_pq, _ratio_spec(a), _pq(a))),
+    "f32": (("x", "p", "q", "variant"), lambda a: _at(f_theorem32, _pq(a), a.variant)),
     "h_beta": (("x", "p", "q", "s", "t", "beta"),
-               lambda a: h_beta(a.x, TwoPointSpec(a.s, a.t, a.beta), _pq(a))),
-    "f1": (("x", "p", "q", "abc"), lambda a: f1(a.x, _affine_spec(a), _pq(a))),
+               lambda a: _at(h_beta, TwoPointSpec(a.s, a.t, a.beta), _pq(a))),
+    "f1": (("x", "p", "q", "abc"), lambda a: _at(f1, _affine_spec(a), _pq(a))),
 }
 
 # the function flags of eval and table besides --x, which every function reads
 _FN_FLAGS = ("p", "q", "n", "a", "b", "s", "t", "beta", "abc", "variant")
 
 
-def _eval_value(args):
-    flags, value = FUNCTIONS[args.fn]
+def _function(args):
+    """The --fn function of x at the other flags, which must be exactly the ones it takes.
+    A non-finite value raises OverflowError."""
+    flags, make = FUNCTIONS[args.fn]
     if "variant" in flags and args.variant is None:
         args.variant = "as_defined"
-    for name in ("x",) + _FN_FLAGS:
+    for name in _FN_FLAGS:
         if (name in flags) != (getattr(args, name) is not None):
             verb = "needs" if name in flags else "does not take"
             raise UsageError(f"function {args.fn} {verb} --{name}")
-    v = value(args)
-    if not math.isfinite(v):
-        raise OverflowError(f"{args.fn} gives {v!r}")
-    return v, {name: getattr(args, name) for name in flags}
+    f = make(args)
+
+    def value(x):
+        v = f(x)
+        if not math.isfinite(v):
+            raise OverflowError(f"{args.fn} gives {v!r}")
+        return v
+
+    return value
 
 
 def cmd_eval(args):
-    value, inputs = _eval_value(args)
+    value = _function(args)(args.x)
+    inputs = {name: getattr(args, name) for name in FUNCTIONS[args.fn][0]}
     if args.format == "json":
-        record = {"function": args.fn, "inputs": inputs, "output": value,
-                  "provenance": "value"}
+        record = {"function": args.fn, "inputs": inputs, "output": value, "provenance": "value"}
     else:
-        record = {"function": args.fn}
-        record.update(inputs)
-        record.update(output=value, provenance="value")
+        record = {"function": args.fn, **inputs, "output": value, "provenance": "value"}
     _emit([record], args.format, args.out)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# table
 
 
 def cmd_table(args):
@@ -165,13 +178,9 @@ def cmd_table(args):
         raise UsageError(f"--count must be >= 2, got {args.count}")
     if not args.lo < args.hi:
         raise UsageError(f"need --lo < --hi, got [{args.lo}, {args.hi}]")
-    records = []
-    for i in range(args.count):
-        x = args.lo + (args.hi - args.lo) * i / (args.count - 1)
-        args.x = x
-        value, _ = _eval_value(args)
-        records.append({"x": x, "value": value})
-    _emit(records, args.format, args.out)
+    value = _function(args)
+    xs = [args.lo + (args.hi - args.lo) * i / (args.count - 1) for i in range(args.count)]
+    _emit([{"x": x, "value": value(x)} for x in xs], args.format, args.out)
     return 0
 
 
@@ -179,9 +188,9 @@ def cmd_table(args):
 # verify
 
 
-def _report_record(campaign, case, report, grid, tol_scale, extra=None):
-    rec = {
-        "campaign": campaign,
+def _report_record(args, case, report, grid, max_order, extra):
+    return {
+        "campaign": args.campaign,
         "case": case,
         "verdict": report.verdict,
         "min_slack": report.min_slack,
@@ -194,171 +203,156 @@ def _report_record(campaign, case, report, grid, tol_scale, extra=None):
         "lo": grid.lo,
         "hi": grid.hi,
         "points": grid.points,
-        "max_order": grid.max_order,
-        "tol_scale": tol_scale,
+        "max_order": max_order,
+        "tol_scale": args.tol_scale,
+        **extra,
     }
-    if extra:
-        rec.update(extra)
-    return rec
 
 
-def _grid(args, lo, hi, max_order=6):
-    # the stencil campaigns draw nothing at random and keep GridSpec's seed
-    return GridSpec(
-        lo=args.lo if args.lo is not None else lo,
-        hi=args.hi if args.hi is not None else hi,
-        points=args.points,
-        max_order=max_order,
-        seed=getattr(args, "seed", GridSpec.seed),
-    )
+def _verify_stencil(check, fn, cases, args):
+    flags, make = FUNCTIONS[fn]
+    grid = GridSpec(args.lo, args.hi, args.points, seed=args.seed)
+    records = []
+    for case, fixed in cases.items():
+        a = argparse.Namespace(**{**vars(args), **fixed})
+        # looked up by name when the campaign runs, so that a rebinding of it is seen
+        report = globals()[check](make(a), grid, args.tol_scale)
+        extra = {name: getattr(a, name) for name in flags[1:] if name not in fixed}
+        records.append(_report_record(args, case, report, grid, _MAX_ORDER, extra))
+    return records
 
 
-# Each campaign runner returns (case, report, grid, extra) tuples, one per record.
+def _verify_lemma21(args):
+    grid = GridSpec(args.lo, args.hi, args.points, seed=args.seed)
+    return [_report_record(args, "young_bracket", check_young_bracket(grid, args.tol_scale),
+                           grid, 0, {})]
 
 
-def _verify_logconvex_gamma(args, tol_scale):
-    params = _pq(args, 4, 0.6)
-    grid = _grid(args, 0.5, 8.0)
-    report = check_log_convex(lambda x: math.exp(log_gamma_pq(x, params)), grid, tol_scale)
-    return [("gamma_pq", report, grid, {"p": params.p, "q": params.q})]
-
-
-def _verify_cm_psi_prime(args, tol_scale):
-    params = _pq(args)
-    grid = _grid(args, 0.5, 6.0)
-    report = check_cm(lambda x: psi_pq_deriv(x, params, 1), grid, tol_scale)
-    return [("psi_pq_prime", report, grid, {"p": params.p, "q": params.q})]
-
-
-def _verify_cm_G(args, tol_scale):
-    spec = _ratio_spec(args)
-    violation = validate_ratio_spec(spec)
-    if violation is not None:
-        raise UsageError(f"invalid shift vectors: {violation}")
-    params = _pq(args)
-    grid = _grid(args, 0.5, 6.0)
-    report = check_cm(lambda x: math.exp(log_G_pq(x, spec, params)), grid, tol_scale)
-    return [("G_pq", report, grid, {"p": params.p, "q": params.q, "a": args.a, "b": args.b})]
-
-
-def _verify_lcm_f32(args, tol_scale):
-    params = _pq(args)
-    grid = _grid(args, 0.5, 6.0)
-    return [(variant, check_lcm(lambda x: f_theorem32(x, params, variant), grid, tol_scale),
-             grid, {"p": params.p, "q": params.q})
-            for variant in ("as_defined", "as_proved")]
-
-
-def _verify_lcm_h(args, tol_scale):
-    params = _pq(args)
-    spec = TwoPointSpec(args.s if args.s is not None else 2.0,
-                        args.t if args.t is not None else 1.0,
-                        args.beta if args.beta is not None else 0.5)
-    grid = _grid(args, 0.6, 5.0)
-    report = check_lcm(lambda x: h_beta(x, spec, params), grid, tol_scale)
-    return [("h_beta", report, grid, {"p": params.p, "q": params.q, "s": spec.s,
-                                      "t": spec.t, "beta": spec.beta})]
-
-
-def _verify_lemma21(args, tol_scale):
-    grid = _grid(args, 0.0, 5.0, max_order=0)
-    return [("young_bracket", check_young_bracket(grid, tol_scale), grid, None)]
-
-
-def _verify_sec4(args, tol_scale):
-    params = _pq(args)
-    result = run_sec4_campaign(params, samples=args.samples, seed=args.seed,
-                               tol_scale=tol_scale)
+def _verify_sec4(args):
+    result = run_sec4_campaign(_pq(args), samples=args.samples, seed=args.seed,
+                               tol_scale=args.tol_scale)
     report = MonotonicityReport(result["verdict"], result["min_slack"], result["witness"],
                                 result["tolerance"], result["evaluations"], args.seed)
-    grid = GridSpec(0.0, 1.0, result["grid_points"], max_order=0, seed=args.seed)
-    return [("f1_double_inequality", report, grid,
-             {"samples": result["samples"], "qualified": result["qualified"],
-              "skipped": result["skipped"], "p": params.p, "q": params.q})]
+    grid = GridSpec(0.0, 1.0, result["grid_points"], seed=args.seed)
+    return [_report_record(args, "f1_double_inequality", report, grid, 0,
+                           {"samples": result["samples"], "qualified": result["qualified"],
+                            "skipped": result["skipped"], "p": args.p, "q": args.q})]
 
 
-_STENCIL_FLAGS = ("p", "q", "lo", "hi", "points", "tol-scale")
+_GRID_FLAGS = ("lo", "hi", "points", "tol-scale")
 
-# campaign -> (runner, the flags it reads); a trailing ! marks a required flag
+
+def _stencil(check, fn, cases, **defaults):
+    """The CAMPAIGNS row that runs the monocheck function named check on the --fn function
+    fn, once per case; cases maps a record's case name to the flags of fn it fixes. Each other
+    flag of fn but x is a campaign flag and a record column, required where defaults has none."""
+    fixed = next(iter(cases.values()))
+    fn_flags = tuple(name if name in defaults else name + "!"
+                     for name in FUNCTIONS[fn][0][1:] if name not in fixed)
+    seed = ("seed",) if check == "check_log_convex" else ()  # the one that draws at random
+    return (functools.partial(_verify_stencil, check, fn, cases),
+            fn_flags + _GRID_FLAGS + seed, defaults)
+
+
+_PQ = {"p": 3, "q": 0.5}
+_STENCIL_DEFAULTS = {**_PQ, "lo": 0.5, "hi": 6.0}
+
+# campaign -> (runner, the flags it reads, its defaults); runner(args) returns the records,
+# and a trailing ! marks a required flag
 CAMPAIGNS = {
-    "logconvex-gamma": (_verify_logconvex_gamma, _STENCIL_FLAGS + ("seed",)),
-    "cm-psi-prime": (_verify_cm_psi_prime, _STENCIL_FLAGS),
-    "cm-G": (_verify_cm_G, _STENCIL_FLAGS + ("a!", "b!")),
-    "lcm-f32": (_verify_lcm_f32, _STENCIL_FLAGS),
-    "lcm-h": (_verify_lcm_h, _STENCIL_FLAGS + ("s", "t", "beta")),
-    "ineq-lemma21": (_verify_lemma21, ("lo", "hi", "points", "seed", "tol-scale")),
-    "ineq-sec4": (_verify_sec4, ("p", "q", "samples", "seed", "tol-scale")),
+    "logconvex-gamma": _stencil("check_log_convex", "gamma_pq", {"gamma_pq": {}},
+                                p=4, q=0.6, lo=0.5, hi=8.0),
+    "cm-psi-prime": _stencil("check_cm", "psi_pq_deriv", {"psi_pq_prime": {"n": 1}},
+                             **_STENCIL_DEFAULTS),
+    "cm-G": _stencil("check_cm", "G_pq", {"G_pq": {}}, **_STENCIL_DEFAULTS),
+    "lcm-f32": _stencil("check_lcm", "f32", {v: {"variant": v} for v in _VARIANTS},
+                        **_STENCIL_DEFAULTS),
+    "lcm-h": _stencil("check_lcm", "h_beta", {"h_beta": {}},
+                      **_PQ, lo=0.6, hi=5.0, s=2.0, t=1.0, beta=0.5),
+    "ineq-lemma21": (_verify_lemma21, ("lo", "hi", "points", "seed", "tol-scale"),
+                     {"lo": 0.0, "hi": 5.0}),
+    "ineq-sec4": (_verify_sec4, ("p", "q", "samples", "seed", "tol-scale"), _PQ),
 }
+
+# defaults of every campaign; the stencil campaigns without --seed keep this seed
+_CAMPAIGN_DEFAULTS = {"points": 64, "samples": 1000, "seed": 42, "tol_scale": 1000.0}
 
 
 def cmd_verify(args):
-    results = args.runner(args, args.tol_scale)
-    _emit([_report_record(args.campaign, case, report, grid, args.tol_scale, extra)
-           for case, report, grid, extra in results], args.format, args.out)
+    records = args.runner(args)
+    _emit(records, args.format, args.out)
     # lcm-f32: the statement and the proof define different functions; the check
     # succeeds if either reading is logarithmically completely monotonic
-    return 0 if any(report.passed for _, report, _, _ in results) else CHECK_FAILED
+    return 0 if any(r["verdict"] == "pass" for r in records) else CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
 # limits
 
-# corner -> the flags it reads, marked as in CAMPAIGNS
+
+def _p_ladder(values):
+    """Ladder entries as p values: positive integers, with 100.0 read as 100."""
+    for v in values:
+        if not (v >= 1 and float(v).is_integer()):
+            raise UsageError(f"--ladder takes positive integers as p, got {v:g}")
+    return tuple(int(v) for v in values)
+
+
+# an edge ladder "p" or "q" is --ladder, read as p or as q values
+_READ_LADDER = {"p": _p_ladder, "q": tuple}
+_P_LADDER = (10, 100, 1000, 10000)
+_Q_LADDER = (0.9, 0.99, 0.999, 0.9999, 1 - 1e-6, 1 - 1e-8)
+
+# corner -> (flags, defaults, edges), flags marked as in CAMPAIGNS. An edge is (name, ladder,
+# value at a ladder entry, limit target); value and target read x, p and q from the
+# corner's arguments, and a ladder is fixed or read from --ladder.
 CORNERS = {
-    "p-to-q": ("x!", "ladder", "q"),
-    "q-to-p": ("x!", "ladder", "p"),
-    "p-gamma": ("x!", "ladder"),
-    "q-gamma": ("x!", "ladder"),
-    "psi-diagram": ("x!", "ladder", "p", "q"),
+    "p-to-q": (("x!", "ladder", "q"), {"ladder": _P_LADDER}, (
+        ("gamma_pq->gamma_q", "p", lambda a, p: log_gamma_pq(a.x, PQParams(p, a.q)),
+         lambda a: log_gamma_q(a.x, a.q)),)),
+    "q-to-p": (("x!", "ladder", "p"), {"ladder": _Q_LADDER}, (
+        ("gamma_pq->gamma_p", "q", lambda a, q: log_gamma_pq(a.x, PQParams(a.p, q)),
+         lambda a: log_gamma_p(a.x, a.p)),)),
+    "p-gamma": (("x!", "ladder"), {"ladder": _P_LADDER}, (
+        ("gamma_p->gamma", "p", lambda a, p: log_gamma_p(a.x, p),
+         lambda a: log_gamma_classical(a.x)),)),
+    "q-gamma": (("x!", "ladder"), {"ladder": (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)}, (
+        ("gamma_q->gamma", "q", lambda a, q: log_gamma_q(a.x, q),
+         lambda a: log_gamma_classical(a.x)),)),
+    "psi-diagram": (("x!", "ladder", "p", "q"), {"ladder": (100, 1000, 10000, 100000, 1000000)}, (
+        ("psi_pq->psi_q", _P_LADDER, lambda a, p: psi_pq(a.x, PQParams(p, a.q)),
+         lambda a: psi_q(a.x, a.q)),
+        ("psi_pq->psi_p", _Q_LADDER, lambda a, q: psi_pq(a.x, PQParams(a.p, q)),
+         lambda a: psi_p(a.x, a.p)),
+        ("psi_p->psi", "p", lambda a, p: psi_p(a.x, p), lambda a: psi_classical(a.x)))),
 }
+
+# the fixed p and q of every corner that does not step them
+_CORNER_DEFAULTS = {"p": 10, "q": 0.9}
 
 _GAP_TOL = 1e-10  # noise floor of the long log-sums at large p
 
 
 def limit_rows(corner, x, ladder=None, p=None, q=None):
-    """Rows of (edge, parameter, gap) for one commutative-diagram corner.
+    """Rows of (edge, parameter, gap) for one commutative-diagram corner. A ladder, p or q
+    left None takes the corner's default.
 
     Gaps are absolute differences of log-values (log-gamma corners) or of
     values (psi corners).
     """
-    rows = []
-    if corner == "p-gamma":
-        target = log_gamma_classical(x)
-        for pv in ladder or (10, 100, 1000, 10000):
-            pv = int(pv)
-            rows.append(("gamma_p->gamma", pv, abs(log_gamma_p(x, pv) - target)))
-    elif corner == "q-gamma":
-        target = log_gamma_classical(x)
-        for qv in ladder or (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999):
-            rows.append(("gamma_q->gamma", qv, abs(log_gamma_q(x, qv) - target)))
-    elif corner == "p-to-q":
-        qv = q if q is not None else 0.9
-        target = log_gamma_q(x, qv)
-        for pv in ladder or (10, 100, 1000, 10000):
-            pv = int(pv)
-            rows.append(("gamma_pq->gamma_q", pv,
-                         abs(log_gamma_pq(x, PQParams(pv, qv)) - target)))
-    elif corner == "q-to-p":
-        pv = int(p) if p is not None else 10
-        target = log_gamma_p(x, pv)
-        for qv in ladder or (0.9, 0.99, 0.999, 0.9999, 1 - 1e-6, 1 - 1e-8):
-            rows.append(("gamma_pq->gamma_p", qv,
-                         abs(log_gamma_pq(x, PQParams(pv, qv)) - target)))
-    elif corner == "psi-diagram":
-        qv = q if q is not None else 0.9
-        target = psi_q(x, qv)
-        for pv in (10, 100, 1000, 10000):
-            rows.append(("psi_pq->psi_q", pv, abs(psi_pq(x, PQParams(pv, qv)) - target)))
-        pv = int(p) if p is not None else 10
-        target = psi_p(x, pv)
-        for qv in (0.9, 0.99, 0.999, 0.9999, 1 - 1e-6, 1 - 1e-8):
-            rows.append(("psi_pq->psi_p", qv, abs(psi_pq(x, PQParams(pv, qv)) - target)))
-        target = psi_classical(x)
-        for pv in ladder or (100, 1000, 10000, 100000, 1000000):
-            pv = int(pv)
-            rows.append(("psi_p->psi", pv, abs(psi_p(x, pv) - target)))
-    else:
+    if corner not in CORNERS:
         raise UsageError(f"unknown corner {corner!r}")
+    _, defaults, edges = CORNERS[corner]
+    args = argparse.Namespace(x=x, **_CORNER_DEFAULTS, **defaults)
+    for name, given in (("ladder", ladder), ("p", p), ("q", q)):
+        if given is not None:
+            setattr(args, name, given)
+    rows = []
+    for edge, steps, value, target in edges:
+        if steps in _READ_LADDER:
+            steps = _READ_LADDER[steps](args.ladder)
+        limit = target(args)
+        rows += [(edge, v, abs(value(args, v) - limit)) for v in steps]
     return rows
 
 
@@ -367,17 +361,11 @@ def gaps_nonincreasing(rows, tol=_GAP_TOL):
     by_edge = {}
     for edge, _, gap in rows:
         by_edge.setdefault(edge, []).append(gap)
-    for gaps in by_edge.values():
-        for g0, g1 in zip(gaps, gaps[1:]):
-            if g1 > g0 + tol:
-                return False
-    return True
+    return not any(g1 > g0 + tol for gaps in by_edge.values() for g0, g1 in zip(gaps, gaps[1:]))
 
 
 def cmd_limits(args):
-    ladder = None if args.ladder is None else _parse_vector(args.ladder, "ladder")
-    rows = limit_rows(args.corner, args.x, ladder=ladder,
-                      p=getattr(args, "p", None), q=getattr(args, "q", None))
+    rows = limit_rows(args.corner, args.x, args.ladder, args.p, args.q)
     records = [{"corner": args.corner, "edge": edge, "parameter": param, "gap": gap}
                for edge, param, gap in rows]
     _emit(records, args.format, args.out)
@@ -408,15 +396,16 @@ _FLAGS = {
     "t": {"type": float},
     "beta": {"type": float},
     "abc": {},
-    "variant": {"choices": ("as_defined", "as_proved")},
+    "variant": {"choices": _VARIANTS},
     "lo": {"type": float},
     "hi": {"type": float},
     "count": {"type": int},
-    "points": {"type": int, "default": 64},
-    "samples": {"type": int, "default": 1000},
-    "seed": {"type": int, "default": 42},
-    "tol-scale": {"type": float, "default": 1000.0},
-    "ladder": {"help": "comma-separated parameter ladder"},
+    "points": {"type": int},
+    "samples": {"type": int},
+    "seed": {"type": int},
+    "tol-scale": {"type": float},
+    "ladder": {"type": lambda text: _parse_vector(text, "ladder"),
+               "help": "comma-separated parameter ladder"},
     "format": {"choices": ("csv", "json"), "default": "csv"},
     "out": {"help": "also write output bytes to this file"},
 }
@@ -436,18 +425,19 @@ def _add_parser(subs, name, flags, help=None, **defaults):
 def build_parser():
     parser = _Parser(prog="pqgamma", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_parser(subs, "eval", ("fn!", "x") + _FN_FLAGS,
+    _add_parser(subs, "eval", ("fn!", "x!") + _FN_FLAGS,
                 help="evaluate one function at a point", handler=cmd_eval)
     _add_parser(subs, "table", ("fn!",) + _FN_FLAGS + ("lo!", "hi!", "count!"),
                 help="tabulate one function over a range", handler=cmd_table)
     verify = subs.add_parser("verify", help="run a theorem verification campaign",
                              allow_abbrev=False).add_subparsers(dest="campaign", required=True)
-    for name, (runner, flags) in CAMPAIGNS.items():
-        _add_parser(verify, name, flags, handler=cmd_verify, runner=runner)
+    for name, (runner, flags, defaults) in CAMPAIGNS.items():
+        _add_parser(verify, name, flags, handler=cmd_verify, runner=runner,
+                    **_CAMPAIGN_DEFAULTS, **defaults)
     limits = subs.add_parser("limits", help="commutative-diagram convergence ladders",
                              allow_abbrev=False).add_subparsers(dest="corner", required=True)
-    for name, flags in CORNERS.items():
-        _add_parser(limits, name, flags, handler=cmd_limits)
+    for name, (flags, defaults, _) in CORNERS.items():
+        _add_parser(limits, name, flags, handler=cmd_limits, **_CORNER_DEFAULTS, **defaults)
     return parser
 
 

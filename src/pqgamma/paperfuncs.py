@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gammafam import log_gamma_pq
-from .monocheck import _EPS, _LCG, GridSpec, MonotonicityReport
+from .monocheck import _EPS, _LCG, GridSpec, MonotonicityReport, _check_tol_scale
 from .psifam import psi_pq
 from .qcore import DomainError, PQParams, _check_x, q_bracket
 
@@ -249,6 +249,7 @@ def check_young_bracket(grid: GridSpec, tol_scale=1e3):
     _YOUNG_ERR is evaluated again with _young_slack, in draw order.  The result is then
     that of evaluating every draw with _young_slack.  The tolerance is 1e-14 at the
     default tol_scale of 1000 and scales with it."""
+    _check_tol_scale(tol_scale)
     tol = _YOUNG_TOL * (tol_scale / 1e3)
     rng = _LCG(grid.seed)
     span = grid.hi - grid.lo
@@ -301,6 +302,7 @@ def run_sec4_campaign(params, samples=1000, seed=42, tol_scale=1e3):
     The tolerance is 1e-10 at the default tol_scale of 1000 and scales with it."""
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    _check_tol_scale(tol_scale)
     tol = _SEC4_TOL * (tol_scale / 1e3)
     xs = np.arange(_SEC4_GRID_POINTS) / (_SEC4_GRID_POINTS - 1)
     qualified = skipped = 0

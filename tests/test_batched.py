@@ -142,7 +142,7 @@ class TestYoungBracketReference:
     @pytest.mark.parametrize("points", [64, 100])
     @pytest.mark.parametrize("seed", [42, 7, 677212])
     def test_matches_sequential_loop(self, seed, points):
-        grid = GridSpec(0.0, 5.0, points=points, max_order=0, seed=seed)
+        grid = GridSpec(0.0, 5.0, points=points, seed=seed)
         report = check_young_bracket(grid)
         verdict, slack, witness = young_bracket_loop(grid)
         assert report.verdict == verdict
@@ -152,10 +152,10 @@ class TestYoungBracketReference:
 
     def test_draw_outside_the_bracket_domain_raises(self):
         with pytest.raises(DomainError):
-            check_young_bracket(GridSpec(-3.0, 0.0, points=4, max_order=0))
+            check_young_bracket(GridSpec(-3.0, 0.0, points=4))
 
     def test_tolerance_scales_with_tol_scale(self):
-        grid = GridSpec(0.0, 5.0, points=4, max_order=0)
+        grid = GridSpec(0.0, 5.0, points=4)
         assert check_young_bracket(grid).tolerance_used == 1e-14
         assert check_young_bracket(grid, tol_scale=1e6).tolerance_used == 1e-14 * 1e3
 

@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import math
+import pathlib
+import re
 
 import pytest
 
+from pqgamma import cli
 from pqgamma.cli import build_parser, gaps_nonincreasing, limit_rows, main
 from pqgamma.gammafam import log_gamma_q
 from pqgamma.paperfuncs import run_sec4_campaign, sample_affine_specs
@@ -488,3 +491,90 @@ class TestUnreadFlags:
         assert code == 2
         assert out == ""
         assert err == "error: function gamma does not take --p\n"
+
+
+class TestPLadder:
+    """A p ladder takes positive integers: an integral real reads as that integer."""
+
+    @pytest.mark.parametrize("ladder", ["10.5,20.7", "nan", "inf", "0"])
+    @pytest.mark.parametrize("corner", ["p-gamma", "p-to-q", "psi-diagram"])
+    def test_non_integer_p_exits_2(self, capsys, corner, ladder):
+        code, out, err = run(capsys, "limits", corner, "--x", "1", "--ladder", ladder)
+        assert code == 2
+        assert out == ""
+        assert "--ladder" in err and err.count("\n") == 1
+
+    def test_integral_reals_print_as_integers(self, capsys):
+        code, out, _ = run(capsys, "limits", "p-gamma", "--x", "1", "--ladder", "100,1000.0")
+        assert code == 0
+        assert [r["parameter"] for r in parse_csv(out)] == ["100", "1000"]
+
+
+@pytest.mark.parametrize("tol_scale", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("campaign", sorted(VERIFY_READS))
+def test_tol_scale_must_be_finite_and_nonnegative(capsys, campaign, tol_scale):
+    code, out, err = run(capsys, *BASE_ARGV["verify"](campaign), "--tol-scale", tol_scale)
+    assert code == 2
+    assert out == ""
+    assert "tol_scale" in err
+
+
+def test_table_builds_its_function_once(capsys, monkeypatch):
+    built = []
+    ratio_spec = cli.RatioSpec
+    monkeypatch.setattr(cli, "RatioSpec", lambda *args: built.append(args) or ratio_spec(*args))
+    code, out, err = run(capsys, "table", "--fn", "G_pq", "--p", "3", "--q", "0.5",
+                         "--a", "1,2", "--b", "1.5,2.5", "--lo", "0.5", "--hi", "3",
+                         "--count", "40")
+    assert code == 0, err
+    assert len(parse_csv(out)) == 40
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, name", [
+    (BASE_ARGV["verify"]("logconvex-gamma"), "check_log_convex"),
+    (BASE_ARGV["verify"]("cm-psi-prime"), "check_cm"),
+    (BASE_ARGV["verify"]("cm-G"), "check_cm"),
+    (BASE_ARGV["verify"]("lcm-f32"), "check_lcm"),
+    (BASE_ARGV["verify"]("lcm-h"), "check_lcm"),
+    (BASE_ARGV["verify"]("logconvex-gamma"), "log_gamma_pq"),
+    (BASE_ARGV["limits"]("q-to-p") + ("--ladder", "0.9"), "log_gamma_pq"),
+    (BASE_ARGV["limits"]("psi-diagram"), "psi_classical"),
+])
+def test_tables_call_the_module_globals_when_they_run(capsys, monkeypatch, argv, name):
+    # a campaign or corner row that held the function object from import time, or from the
+    # cached parser, would bypass a later rebinding such as the benchmark tracer's spans
+    build_parser()
+    calls = []
+    original = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    points = ("--points", "2") if argv[0] == "verify" else ()
+    code, _, err = run(capsys, *argv, *points)
+    assert code in (0, 1), err
+    assert calls
+
+
+def _readme_defaults():
+    """(argv, dest, value) for every scalar default in the README's CLI flag table."""
+    with open(pathlib.Path(__file__).parents[1] / "README.md", encoding="utf-8") as fh:
+        lines = [line for line in fh if line.startswith(("| `verify ", "| `limits "))]
+    assert lines
+    out = []
+    for line in lines:
+        entries, flags = line.split("|")[1:3]
+        for command, entry in re.findall(r"`(verify|limits) ([\w-]+)`", entries):
+            argv = BASE_ARGV[command](entry)
+            for flag, value in re.findall(r"`--([\w-]+)` \(([-\d.]+)\)", flags):
+                out.append(pytest.param(argv, flag.replace("-", "_"), float(value),
+                                        id=f"{entry}--{flag}"))
+    return out
+
+
+@pytest.mark.parametrize("argv, dest, value", _readme_defaults())
+def test_readme_defaults_match_the_parser(argv, dest, value):
+    assert getattr(build_parser().parse_args(list(argv)), dest) == value

@@ -14,7 +14,9 @@ from pqgamma.monocheck import (
     difference_table,
     forward_difference,
 )
-from pqgamma.qcore import DomainError
+from pqgamma.gammafam import log_gamma_pq
+from pqgamma.paperfuncs import check_young_bracket, run_sec4_campaign
+from pqgamma.qcore import DomainError, PQParams
 
 
 class TestForwardDifference:
@@ -84,8 +86,6 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
             GridSpec(2.0, 1.0)
-        with pytest.raises(DomainError):
-            GridSpec(0.0, 1.0, max_order=9)
         for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
             with pytest.raises(DomainError):
                 GridSpec(lo, hi)
@@ -93,7 +93,7 @@ class TestGridSpec:
     def test_stencils_stay_inside(self):
         # every abscissa a campaign evaluates is x + j h for a grid point x and an
         # h of _STEPS, and none leaves [lo, hi]
-        grid = GridSpec(0.5, 2.0, points=16, max_order=6)
+        grid = GridSpec(0.5, 2.0, points=16)
         stencils = {x0 + j * h for x0 in grid.xs() for h in _STEPS for j in range(7)}
         for check in (check_cm, check_lcm):
             seen = []
@@ -185,6 +185,40 @@ class TestCheckDecreasing:
 
     def test_square_fails(self):
         assert check_decreasing(lambda x: x * x, GridSpec(1.0, 2.0)).verdict == "fail"
+
+
+# every campaign of the package, as tol_scale -> report (the sec4 result dict has a tolerance)
+SMALL_GRID = GridSpec(0.5, 2.0, points=4)
+TOL_SCALE_CAMPAIGNS = {
+    "check_cm": lambda t: check_cm(lambda x: math.exp(-x), SMALL_GRID, t),
+    "check_lcm": lambda t: check_lcm(lambda x: math.exp(-x) + 1.0, SMALL_GRID, t),
+    "check_log_convex": lambda t: check_log_convex(math.exp, SMALL_GRID, t),
+    "check_decreasing": lambda t: check_decreasing(lambda x: -x, SMALL_GRID, t),
+    "check_young_bracket": lambda t: check_young_bracket(SMALL_GRID, t),
+    "run_sec4_campaign": lambda t: run_sec4_campaign(PQParams(3, 0.5), samples=5, tol_scale=t),
+}
+
+
+class TestTolScale:
+    @pytest.mark.parametrize("tol_scale", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("campaign", sorted(TOL_SCALE_CAMPAIGNS))
+    def test_rejects_non_finite_or_negative(self, campaign, tol_scale):
+        with pytest.raises(DomainError, match="tol_scale"):
+            TOL_SCALE_CAMPAIGNS[campaign](tol_scale)
+
+    @pytest.mark.parametrize("campaign", sorted(TOL_SCALE_CAMPAIGNS))
+    def test_zero_is_an_exact_sign_test(self, campaign):
+        report = TOL_SCALE_CAMPAIGNS[campaign](0.0)
+        tolerance = report["tolerance"] if isinstance(report, dict) else report.tolerance_used
+        assert tolerance == 0.0
+
+    def test_an_infinite_scale_would_pass_a_negative_control(self):
+        # Gamma_{4,0.5} is not completely monotonic
+        params = PQParams(4, 0.5)
+        gamma, grid = (lambda x: math.exp(log_gamma_pq(x, params))), GridSpec(0.5, 6.0, 8)
+        assert check_cm(gamma, grid).verdict == "fail"
+        with pytest.raises(DomainError):
+            check_cm(gamma, grid, math.inf)
 
 
 def test_report_is_frozen():
