@@ -47,7 +47,7 @@ from .psifam import (
     psi_pq_deriv,
     psi_q,
 )
-from .qcore import DomainError, PQParams, TruncationError
+from .qcore import DomainError, PQParams, TruncationError, _exp
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -110,7 +110,7 @@ def _at(fn, *rest):
 
 
 def _exp_at(log_fn, *rest):
-    return lambda x: math.exp(log_fn(x, *rest))
+    return lambda x: _exp(log_fn(x, *rest))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .qcore import (
     _geometric_series,
     _pq_constants,
     _positive_array,
+    _row_sums,
     log_q_bracket,
 )
 
@@ -31,7 +32,10 @@ def log_gamma_pq(x, params: PQParams):
     xs = _positive_array(x)
     p, q = params.p, params.q
     lbp, lfac, ks = _pq_constants(p, q)
-    den = log_q_bracket(xs[..., None] + ks, q).sum(axis=-1)
+    if xs.ndim:
+        den = _row_sums(log_q_bracket, xs, ks, q)
+    else:  # a float x: the same sum, without the slicing's Python overhead
+        den = log_q_bracket(xs + ks, q).sum()
     out = xs * lbp + lfac - den
     return float(out) if out.ndim == 0 else out
 
@@ -57,8 +61,9 @@ def log_gamma_q(x, q):
     _check_q(q)
     lr = -abs(math.log(q))  # ln r
     c = math.exp(lr) * math.expm1((x - 1.0) * lr)  # r^x - r
-    # terms ln((1 - r^{j+1})/(1 - r^{x+j})) = log1p(r^j (r^x - r)/(1 - r^{x+j})) at y = j ln r
-    s = _geometric_series(lambda y: np.log1p(np.exp(y) * c / -np.expm1(y + x * lr)), 0, lr)[0]
+    # terms ln((1 - r^{j+1})/(1 - r^{x+j})) = log1p(r^j (r^x - r)/(1 - r^{x+j})) at y = j ln r;
+    # the sign of 1 - r^{x+j} = -expm1 rides on c, which saves a numpy call per chunk
+    s = _geometric_series(lambda y: np.log1p(np.exp(y) * -c / np.expm1(y + x * lr)), 0, lr)[0]
     if q < 1.0:
         return s + (1.0 - x) * math.log1p(-q)
     return s + (1.0 - x) * math.log(q - 1.0) + 0.5 * x * (x - 1.0) * math.log(q)

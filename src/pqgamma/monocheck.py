@@ -5,6 +5,11 @@ Complete monotonicity is tested through forward-difference signs,
 only function values; high-order numerical derivatives are hopeless at
 double precision.  Tolerances scale with the largest table magnitude to
 absorb cancellation.
+
+check_cm and check_lcm pass f the 1-D array of every stencil abscissa in one
+call and build the tables with numpy; their result is that of the sequential
+loop over grid points, steps and orders.  check_log_convex and
+check_decreasing call f at one float at a time.
 """
 
 from __future__ import annotations
@@ -113,49 +118,88 @@ def _check_tol_scale(tol_scale):
 
 
 def _difference_campaign(f, grid, tol_scale, min_order):
+    """The difference test at every grid point x and step h of _STEPS, over the orders
+    min_order..n that x + n h <= hi allows (at most _MAX_ORDER).
+
+    Every abscissa x + j h is evaluated in one call of f, in the order (x, h, j).  The
+    tables of the cells with n orders are built together with np.diff, the subtraction of
+    difference_table, and the result is that of a loop over (x, h, n) keeping the first
+    smallest margin (-1)^n Delta_h^n f(x) + tol."""
     _check_tol_scale(tol_scale)
-    best_margin = math.inf
-    best = (0.0, (grid.lo, 0, _STEPS[0]), 0.0)
-    evaluations = 0
-    for x in grid.xs():
-        for h in _STEPS:
-            n_avail = min(_MAX_ORDER, int((grid.hi - x) / h + 1e-12))
-            if n_avail < min_order:
-                continue
-            vals = [f(x + j * h) for j in range(n_avail + 1)]
-            evaluations += n_avail + 1
-            rows = difference_table(vals)
-            table_mag = max(abs(v) for row in rows for v in row)
-            tol = tol_scale * _EPS * max(1.0, table_mag)
-            for n in range(min_order, n_avail + 1):
-                s = (-1.0) ** n * rows[n][0]
-                margin = s + tol
-                if margin < best_margin:
-                    best_margin = margin
-                    best = (s, (x, n, h), tol)
-    verdict = "pass" if best_margin >= 0.0 else "fail"
-    return MonotonicityReport(verdict, best[0], best[1], best[2], evaluations, grid.seed)
+    xs = grid.xs()
+    x0 = np.array(xs)[:, None]
+    steps = np.array(_STEPS)
+    avail = np.minimum(_MAX_ORDER, ((grid.hi - x0) / steps + 1e-12).astype(int))  # (x, h)
+    avail[avail < min_order] = -1  # cells with too few orders evaluate nothing
+    js = np.arange(_MAX_ORDER + 1)
+    used = js <= avail[..., None]  # (x, h, j)
+    values = np.zeros(used.shape)
+    if used.any():
+        values[used] = f((x0[..., None] + js * steps[:, None])[used])
+    # margins[x, h, n]; inf marks an order that is not tested
+    margins = np.full(used.shape, math.inf)
+    slack = np.zeros(used.shape)
+    tols = np.zeros(avail.shape)
+    for n_avail in range(min_order, _MAX_ORDER + 1):
+        cells = avail == n_avail
+        if not cells.any():
+            continue
+        rows = [values[cells][:, : n_avail + 1]]
+        while rows[-1].shape[1] > 1:
+            rows.append(np.diff(rows[-1], axis=1))
+        # max(abs(v) for row in rows for v in row), which skips a NaN unless it comes first
+        first = np.abs(rows[0][:, 0])
+        mag = np.fmax.reduce(np.concatenate([np.abs(r) for r in rows], axis=1), axis=1)
+        tol = tol_scale * _EPS * np.fmax(1.0, np.where(np.isnan(first), first, mag))
+        signs = (-1.0) ** np.arange(n_avail + 1)
+        s = signs * np.stack([r[:, 0] for r in rows], axis=1)  # (-1)^n Delta^n f(x)
+        slack[cells, : n_avail + 1] = s
+        margins[cells, : n_avail + 1] = s + tol[:, None]
+        tols[cells] = tol
+    margins[..., :min_order] = math.inf
+    margins[np.isnan(margins)] = math.inf  # a NaN margin is never below the best
+    k = int(np.argmin(margins))  # the first smallest in (x, h, n) order
+    if margins.flat[k] < math.inf:
+        i, h, n = np.unravel_index(k, margins.shape)
+        best = (float(slack.flat[k]), (xs[i], int(n), _STEPS[h]), float(tols[i, h]))
+        verdict = "pass" if margins.flat[k] >= 0.0 else "fail"
+    else:
+        best = (0.0, (grid.lo, 0, _STEPS[0]), 0.0)
+        verdict = "pass"
+    return MonotonicityReport(verdict, best[0], best[1], best[2], int(used.sum()), grid.seed)
 
 
 def check_cm(f, grid: GridSpec, tol_scale=1e3):
-    """Complete-monotonicity campaign: (-1)^n Delta_h^n f >= -tol for n = 0.._MAX_ORDER."""
+    """Complete-monotonicity campaign: (-1)^n Delta_h^n f >= -tol for n = 0.._MAX_ORDER.
+
+    f takes a 1-D float array of abscissae and returns the array of its values."""
     return _difference_campaign(f, grid, tol_scale, min_order=0)
 
 
 def check_lcm(f, grid: GridSpec, tol_scale=1e3):
-    """Logarithmic complete monotonicity: the difference test on ln f, orders 1.._MAX_ORDER."""
+    """Logarithmic complete monotonicity: the difference test on ln f, orders 1.._MAX_ORDER.
 
-    def g(x):
-        v = f(x)
-        if v <= 0.0:
-            raise DomainError(f"f({x}) = {v} is not positive; ln f undefined")
-        return math.log(v)
+    f takes a 1-D float array of abscissae and returns the array of its values, which
+    must be positive; ln is math.log elementwise."""
+
+    def g(xs):
+        vs = np.asarray(f(xs), dtype=float)
+        bad = np.flatnonzero(vs <= 0.0)
+        if bad.size:
+            i = bad[0]
+            raise DomainError(f"f({float(xs[i])}) = {float(vs[i])} is not positive; "
+                              "ln f undefined")
+        return np.fromiter(map(math.log, vs), float, vs.size)
 
     return _difference_campaign(g, grid, tol_scale, min_order=1)
 
 
 def check_log_convex(f, grid: GridSpec, tol_scale=1e3):
-    """Seeded-random log-convexity test: ln f(ax+by) <= a ln f(x) + b ln f(y) + tol."""
+    """Seeded-random log-convexity test: ln f(ax+by) <= a ln f(x) + b ln f(y) + tol.
+
+    f takes one float and returns one float.  This check stays scalar: callers such as
+    the benchmark's negative control pass f written with math.exp, which an array call
+    would break (ROADMAP item 1a)."""
     _check_tol_scale(tol_scale)
     rng = _LCG(grid.seed)
     best_margin = math.inf

@@ -18,7 +18,7 @@ import numpy as np
 from .gammafam import log_gamma_pq
 from .monocheck import _EPS, _LCG, GridSpec, MonotonicityReport, _check_tol_scale
 from .psifam import psi_pq
-from .qcore import DomainError, PQParams, _check_x, q_bracket
+from .qcore import DomainError, PQParams, _exp, _positive_array, q_bracket
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,9 @@ class AffineInequalitySpec:
 
     Interval-dependent invariants are checked pointwise: f1 and
     lemma_sign_check reject nonpositive affine forms, and the lemma
-    hypotheses include their ordering.
+    hypotheses include their ordering.  run_sec4_campaign holds many specs in
+    one, each field an (S, 1) column of S specs, which f1 and _lemma broadcast
+    against x.
     """
 
     a: float
@@ -100,13 +102,18 @@ def validate_ratio_spec(spec: RatioSpec):
 
 
 def log_G_pq(x, spec: RatioSpec, params: PQParams):
-    """ln of prod_i Gamma_{p,q}(x+a_i)/Gamma_{p,q}(x+b_i) for a validated spec."""
+    """ln of prod_i Gamma_{p,q}(x+a_i)/Gamma_{p,q}(x+b_i) for a validated spec, at a float
+    or an array x; the spec is validated once per call, and each element of an array
+    result equals the float call, bit for bit."""
     violation = validate_ratio_spec(spec)
     if violation is not None:
         raise DomainError(f"invalid RatioSpec: {violation}")
-    _check_x(x)
-    lg = log_gamma_pq(x + np.array(spec.a + spec.b), params)
-    return math.fsum(lg[: len(spec.a)] - lg[len(spec.a):])
+    xs = _positive_array(x)
+    n = len(spec.a)
+    lg = log_gamma_pq(xs[..., None] + np.array(spec.a + spec.b), params)
+    logs = (lg[..., :n] - lg[..., n:]).reshape(-1, n)
+    out = np.fromiter(map(math.fsum, zip(*logs.T)), float, len(logs)).reshape(xs.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def f_theorem32(x, params: PQParams, variant="as_defined"):
@@ -115,23 +122,35 @@ def f_theorem32(x, params: PQParams, variant="as_defined"):
     as_defined uses ([p]_q/[p+1]_q) * Gamma_{p,q}(x) under the root (the
     statement); as_proved uses Gamma_{p,q}(x+1) (what the proof actually
     manipulates).  The two differ; both are exposed so campaigns can
-    report each.
+    report each.  x may be a float or an array, as for f1.
     """
-    _check_x(x)
+    xs = _positive_array(x)
     if variant == "as_defined":
-        scale, lg = log_gamma_pq(np.array([1.0, x]), params)  # scale = ln([p]_q/[p+1]_q)
-        return math.exp(-(scale + lg) / x)
+        # lg[0] = ln Gamma_{p,q}(1) = ln([p]_q/[p+1]_q)
+        lg = log_gamma_pq(np.append(1.0, xs), params)
+        return _exp(-(lg[0] + lg[1:].reshape(xs.shape)) / xs)
     if variant == "as_proved":
-        return math.exp(-log_gamma_pq(x + 1.0, params) / x)
+        return _exp(-log_gamma_pq(xs + 1.0, params) / xs)
     raise DomainError(f"unknown variant {variant!r}")
 
 
+def _above_alpha(x, spec: TwoPointSpec, name):
+    """x as a float array, or DomainError naming its first element outside (-alpha, inf)."""
+    xs = np.asarray(x, dtype=float)
+    bad = np.flatnonzero(~((xs > -spec.alpha) & (xs < math.inf)))
+    if bad.size:
+        got = x if xs.ndim == 0 else float(xs.flat[bad[0]])
+        raise DomainError(f"{name} must lie in ({-spec.alpha}, inf), got {got!r}")
+    return xs
+
+
 def phi(u, spec: TwoPointSpec, params: PQParams):
-    """psi_{p,q}(u+s) - psi_{p,q}(u+t): the inner integral of psi'_{p,q} from t to s."""
-    if not -spec.alpha < u < math.inf:
-        raise DomainError(f"u must lie in ({-spec.alpha}, inf), got {u!r}")
-    psi_s, psi_t = psi_pq(np.array([u + spec.s, u + spec.t]), params)
-    return float(psi_s - psi_t)
+    """psi_{p,q}(u+s) - psi_{p,q}(u+t): the inner integral of psi'_{p,q} from t to s, at a
+    float or an array u."""
+    us = _above_alpha(u, spec, "u")
+    psi_s, psi_t = psi_pq(np.stack([us + spec.s, us + spec.t]), params)
+    out = psi_s - psi_t
+    return float(out) if out.ndim == 0 else out
 
 
 _H_SWITCH = 1e-6  # difference quotient loses ~6 digits inside this radius
@@ -143,15 +162,21 @@ def h_beta(x, spec: TwoPointSpec, params: PQParams):
     For x away from beta: the (x-beta)-th root of the cross ratio of
     Gamma_{p,q} values, computed as a log difference quotient.  At the
     removable singularity x = beta (radius 1e-6): exp of the midpoint
-    psi difference, second-order accurate.
+    psi difference, second-order accurate.  x may be a float or an array, as for f1.
     """
-    if not -spec.alpha < x < math.inf:
-        raise DomainError(f"x must lie in ({-spec.alpha}, inf), got {x!r}")
+    xs = _above_alpha(x, spec, "x")
     s, t, beta = spec.s, spec.t, spec.beta
-    if abs(x - beta) <= _H_SWITCH:
-        return math.exp(phi(0.5 * (x + beta), spec, params))
-    lg_xs, lg_bs, lg_xt, lg_bt = log_gamma_pq(np.array([x + s, beta + s, x + t, beta + t]), params)
-    return math.exp((lg_xs - lg_bs - lg_xt + lg_bt) / (x - beta))
+    near = np.abs(xs - beta) <= _H_SWITCH
+    far = ~near
+    logs = np.empty(xs.shape)
+    if far.any():
+        xf = xs[far]
+        lg_xs, lg_xt = log_gamma_pq(np.stack([xf + s, xf + t]), params)
+        lg_bs, lg_bt = log_gamma_pq(np.array([beta + s, beta + t]), params)
+        logs[far] = (lg_xs - lg_bs - lg_xt + lg_bt) / (xf - beta)
+    if near.any():
+        logs[near] = phi(0.5 * (xs[near] + beta), spec, params)
+    return _exp(logs)
 
 
 def _affine_forms(spec: AffineInequalitySpec, x):
@@ -162,7 +187,8 @@ def _affine_forms(spec: AffineInequalitySpec, x):
     bad = np.flatnonzero((u <= 0) | (v <= 0))
     if bad.size:
         i = bad[0]
-        raise DomainError(f"affine forms must stay positive at x={xs.flat[i]}: "
+        x_i = np.broadcast_to(xs, u.shape).flat[i]  # a column spec broadcasts u over x
+        raise DomainError(f"affine forms must stay positive at x={x_i}: "
                           f"{u.flat[i]}, {v.flat[i]}")
     return u, v
 
@@ -172,10 +198,7 @@ def f1(x, spec: AffineInequalitySpec, params: PQParams):
     array x; each element of an array result equals the float call, bit for bit."""
     u, v = _affine_forms(spec, x)
     lg_u, lg_v = log_gamma_pq(np.stack([u, v]), params)
-    w = np.asarray(spec.c * lg_u - spec.f * lg_v)
-    # math.exp elementwise: numpy's exp can differ from it in the last ulp
-    vals = np.array([math.exp(t) for t in w.flat]).reshape(w.shape)
-    return float(vals) if vals.ndim == 0 else vals
+    return _exp(spec.c * lg_u - spec.f * lg_v)
 
 
 @dataclass(frozen=True)
@@ -211,9 +234,9 @@ def _lemma(spec, ordered, psi_u, psi_v, which):
     if which == "L41":
         return ordered, psi_u - psi_v <= _CONCLUSION_SLACK
     if which == "L42":
-        hyp = ordered & (ef >= bc > 0.0) & ((psi_u > 0.0) | (psi_v > 0.0))
+        hyp = ordered & (ef >= bc) & (bc > 0.0) & ((psi_u > 0.0) | (psi_v > 0.0))
     elif which == "L43":
-        hyp = ordered & (bc >= ef > 0.0) & ((psi_v < 0.0) | (psi_u < 0.0))
+        hyp = ordered & (bc >= ef) & (ef > 0.0) & ((psi_v < 0.0) | (psi_u < 0.0))
     else:
         raise DomainError(f"unknown lemma id {which!r}")
     return hyp, bc * psi_u - ef * psi_v <= _CONCLUSION_SLACK
@@ -281,65 +304,68 @@ _SEC4_GRID_POINTS = 21
 _SEC4_TOL = 1e-10
 
 
+def _affine_columns(samples, seed):
+    """The seeded candidate specs of sample_affine_specs as one spec of (samples, 1) columns,
+    from the same draws: a, b, d, e, c, f take the uniforms of each sample in that order."""
+    u = _LCG(seed).uniforms(6 * samples).reshape(-1, 6, 1)
+    a = 0.2 + 2.8 * u[:, 0]
+    b = 0.1 + 1.9 * u[:, 1]
+    return AffineInequalitySpec(a, b, 0.1 + 1.9 * u[:, 4], a + 2.0 * u[:, 2], b + 2.0 * u[:, 3],
+                                0.1 + 1.9 * u[:, 5])
+
+
 def sample_affine_specs(samples, seed):
     """Seeded stream of candidate six-real specs with ordered affine forms on [0,1]."""
-    rng = _LCG(seed)
-    out = []
-    for _ in range(samples):
-        a = 0.2 + 2.8 * rng.uniform()
-        b = 0.1 + 1.9 * rng.uniform()
-        d = a + 2.0 * rng.uniform()
-        e = b + 2.0 * rng.uniform()
-        c = 0.1 + 1.9 * rng.uniform()
-        f = 0.1 + 1.9 * rng.uniform()
-        out.append(AffineInequalitySpec(a, b, c, d, e, f))
-    return out
+    cols = _affine_columns(samples, seed)
+    rows = np.hstack([cols.a, cols.b, cols.c, cols.d, cols.e, cols.f]).tolist()
+    return [AffineInequalitySpec(*row) for row in rows]
 
 
 def run_sec4_campaign(params, samples=1000, seed=42, tol_scale=1e3):
     """Gate seeded affine specs on the lemma hypotheses, then test that every
     qualifying sample gives a decreasing ratio and the double inequality on [0,1].
-    The tolerance is 1e-10 at the default tol_scale of 1000 and scales with it."""
+    The tolerance is 1e-10 at the default tol_scale of 1000 and scales with it.
+
+    All samples are gated with one psi_pq call and the qualifying ones scored with one f1
+    call; min_slack and the witness are those of the first smallest slack in the order of
+    a loop over the samples, then the grid."""
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     _check_tol_scale(tol_scale)
     tol = _SEC4_TOL * (tol_scale / 1e3)
     xs = np.arange(_SEC4_GRID_POINTS) / (_SEC4_GRID_POINTS - 1)
-    qualified = skipped = 0
-    evaluations = 0
+    specs = _affine_columns(samples, seed)
+    u, v = _affine_forms(specs, xs)
+    psi_u, psi_v = psi_pq(np.stack([u, v]), params)  # one evaluation gates both lemmas
+    gated = np.zeros(samples, dtype=bool)
+    for which in ("L42", "L43"):
+        gated |= _lemma(specs, u <= v, psi_u, psi_v, which)[0].all(axis=1)
+    qualified = int(gated.sum())
     best_slack = math.inf
     witness = (0.0, 0.0, 0.0)
-    for spec in sample_affine_specs(samples, seed):
-        u, v = _affine_forms(spec, xs)
-        psi_u, psi_v = psi_pq(np.stack([u, v]), params)  # one evaluation gates both lemmas
-        gated = any(_lemma(spec, u <= v, psi_u, psi_v, which)[0].all() for which in ("L42", "L43"))
-        evaluations += 2 * len(xs)
-        if not gated:
-            skipped += 1
-            continue
-        qualified += 1
-        vals = f1(xs, spec, params)
-        evaluations += len(xs)
+    if qualified:
+        chosen = AffineInequalitySpec(*(getattr(specs, name)[gated] for name in "abcdef"))
+        vals = f1(xs, chosen, params)
         # slacks in the order of a loop over the grid: at x_i the decrease vals[i] - vals[i+1],
         # then the double inequality f1(1) <= f1(x_i) <= f1(0), less the endpoints' zero
         # comparisons with themselves
-        slacks = np.full((len(xs), 3), math.inf)
-        slacks[:-1, 0] = vals[:-1] - vals[1:]
-        slacks[:-1, 1] = vals[:-1] - vals[-1]
-        slacks[1:, 2] = vals[0] - vals[1:]
+        slacks = np.full((qualified, len(xs), 3), math.inf)
+        slacks[:, :-1, 0] = vals[:, :-1] - vals[:, 1:]
+        slacks[:, :-1, 1] = vals[:, :-1] - vals[:, -1:]
+        slacks[:, 1:, 2] = vals[:, :1] - vals[:, 1:]
         k = int(np.argmin(slacks))  # the first smallest, as a strict < in that loop keeps
-        if slacks.flat[k] < best_slack:
-            best_slack = float(slacks.flat[k])
-            witness = (float(xs[k // 3]), spec.a, spec.b)
+        row, cell = divmod(k, 3 * len(xs))
+        best_slack = float(slacks.flat[k])
+        witness = (float(xs[cell // 3]), float(chosen.a[row, 0]), float(chosen.b[row, 0]))
     verdict = "pass" if (best_slack >= -tol and qualified > 0) else "fail"
     return {
         "verdict": verdict,
         "min_slack": best_slack if qualified else 0.0,
         "witness": witness,
         "tolerance": tol,
-        "evaluations": evaluations,
+        "evaluations": (2 * samples + qualified) * len(xs),
         "samples": samples,
         "qualified": qualified,
-        "skipped": skipped,
+        "skipped": samples - qualified,
         "grid_points": _SEC4_GRID_POINTS,
     }

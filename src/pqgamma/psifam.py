@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .qcore import _CHUNK, _REL_TOL, DomainError, PQParams, TruncationError
-from .qcore import _check_q, _check_x, _geometric_series, _positive_array, _pq_constants
+from .qcore import _check_q, _check_x, _chunk_sum, _geometric_series, _positive_array
+from .qcore import _pq_constants, _row_sums
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -44,10 +45,18 @@ def psi_pq(x, params: PQParams):
     p, q = params.p, params.q
     lbp, _, ks = _pq_constants(p, q)
     lq = math.log(q)
-    ys = (xs[..., None] + ks) * lq
-    # q^{x+k}/(1-q^{x+k}) = -e^y / expm1(y); expm1 keeps digits as q -> 1
-    out = lbp - lq * (np.exp(ys) / np.expm1(ys)).sum(axis=-1)
+    if xs.ndim:
+        s = _row_sums(_psi_terms, xs, ks, lq)
+    else:  # a float x: the same sum, without the slicing's Python overhead
+        s = _psi_terms(xs + ks, lq).sum()
+    out = lbp - lq * s
     return float(out) if out.ndim == 0 else out
+
+
+def _psi_terms(z, lq):
+    """-q^z/(1-q^z) = e^y / expm1(y) at y = z ln q; expm1 keeps digits as q -> 1."""
+    ys = z * lq
+    return np.exp(ys) / np.expm1(ys)
 
 
 def psi_pq_deriv(x, params: PQParams, order):
@@ -55,8 +64,17 @@ def psi_pq_deriv(x, params: PQParams, order):
 
     (ln q)^{n+1} sum_{m>=1} m^n q^{mx} (1 - q^{m(p+1)}) / (1 - q^m),
 
-    truncated once past the term peak and below 1e-14 * |partial sum|.
+    truncated once past the term peak and below 1e-14 * |partial sum|.  An array x gives
+    the array of the float calls at its elements.
     """
+    if isinstance(x, np.ndarray):
+        values = (_psi_pq_deriv(t, params, order) for t in map(float, x.flat))
+        return np.fromiter(values, float, x.size).reshape(x.shape)
+    return _psi_pq_deriv(x, params, order)
+
+
+def _psi_pq_deriv(x, params, order):
+    """psi_pq_deriv at a float x."""
     n = int(order)
     _check_x(x)
     if n < 1:
@@ -88,7 +106,7 @@ def psi_p(x, p):
         raise DomainError(f"p must be a positive integer, got {p!r}")
     total = 0.0
     for k0 in range(0, p + 1, _CHUNK):
-        total += float((1.0 / (x + np.arange(k0, min(k0 + _CHUNK, p + 1), dtype=float))).sum())
+        total += _chunk_sum(lambda k: 1.0 / (x + k), k0, min(_CHUNK, p + 1 - k0))[0]
     return math.log(p) - total
 
 
@@ -101,7 +119,10 @@ def _polylog_neg(n):
 
     def li(y):
         z = np.exp(y)
-        return z * np.polyval(coeffs, z) / (-np.expm1(y)) ** (n + 1)
+        a = coeffs[0]  # Horner from the leading coefficient: np.polyval's values, fewer calls
+        for c in coeffs[1:]:
+            a = a * z + c
+        return z * a / (-np.expm1(y)) ** (n + 1)
 
     return li
 

@@ -77,14 +77,38 @@ def _check_q(q):
 
 
 def _positive_array(x):
-    """x as a float array, or DomainError unless every element lies in (0, inf).  A 0-d x
-    is compared as given, which is cheaper than array reductions."""
+    """x as a float array, or DomainError naming its first element outside (0, inf).  A 0-d
+    x is compared as given, which is cheaper than array reductions."""
     xs = np.asarray(x, dtype=float)
     if xs.ndim == 0:
         _check_x(x)
     elif xs.size and not 0 < xs.min() <= xs.max() < math.inf:  # a NaN element makes min NaN
-        raise DomainError(f"x must be positive and finite, got {x!r}")
+        _check_x(float(xs.flat[np.flatnonzero(~((xs > 0) & (xs < math.inf)))[0]]))
     return xs
+
+
+def _exp(w):
+    """math.exp of a float, or elementwise of an array: numpy's exp can differ from it in the
+    last ulp, and every array result must equal the float calls bit for bit."""
+    if isinstance(w, float):
+        return math.exp(w)
+    out = np.fromiter(map(math.exp, w.flat), float, w.size).reshape(w.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+_SLICE = 1 << 13  # terms per numpy call of a sliced sum: 64 KiB temporaries
+
+
+def _row_sums(term, xs, ks, *args):
+    """term(xs[..., None] + ks, *args).sum(axis=-1).  An xs of more than _SLICE // len(ks)
+    elements is summed in slices of that many rows, so that no temporary grows with xs;
+    each row's sum is the same numpy call on the same row, bit for bit."""
+    rows = max(1, _SLICE // ks.size)
+    if xs.size <= rows:
+        return term(xs[..., None] + ks, *args).sum(axis=-1)
+    flat = xs.ravel()
+    return np.concatenate([term(flat[i:i + rows, None] + ks, *args).sum(axis=-1)
+                           for i in range(0, flat.size, rows)]).reshape(xs.shape)
 
 
 @functools.lru_cache(maxsize=32)
@@ -96,9 +120,24 @@ def _pq_constants(p, q):
     return math.log(q_bracket(p, q)), log_q_factorial(p, q), ks
 
 
-_CHUNK = 1 << 14  # most terms evaluated in one numpy call
+_CHUNK = 1 << 14  # most terms summed per stop test of a series
 _REL_TOL = 1e-14  # relative tail bound every q-series meets
 _MAX_TERMS = 10**9  # about 10 s of summing; r closer to 1 than ~1 - 5e-8 needs more
+
+
+def _chunk_sum(term, j0, n):
+    """(sum, last) of t = term(j) at j = j0 .. j0+n-1 as floats, the sum equal to t.sum() bit
+    for bit.  Above _SLICE terms, t is evaluated as two halves split where numpy's pairwise
+    summation splits it, n//2 rounded down to a multiple of 8, and the half-sums are added as
+    that summation adds them.  A whole chunk of 2^14 floats is 128 KiB, glibc's default mmap
+    threshold, and temporaries of that size can make every chunk fault in fresh pages."""
+    if n <= _SLICE:
+        t = term(np.arange(j0, j0 + n, dtype=float))
+        return float(t.sum()), float(t[-1])
+    n2 = n // 2 - n // 2 % 8
+    head = term(np.arange(j0, j0 + n2, dtype=float)).sum()
+    t = term(np.arange(j0 + n2, j0 + n, dtype=float))
+    return float(head + t.sum()), float(t[-1])
 
 
 def _geometric_series(g, y0, lr):
@@ -109,7 +148,7 @@ def _geometric_series(g, y0, lr):
     tail after the last summed term t is at most bound = |t| r/(1-r).  As |sum| >= |t_0|,
     J = ceil(ln(_REL_TOL (1-r)) / ln r) terms always meet _REL_TOL; J > _MAX_TERMS raises
     TruncationError before any evaluation.  Chunks of at most _CHUNK terms are summed
-    until bound <= _REL_TOL * |sum|.
+    (by _chunk_sum) until bound <= _REL_TOL * |sum|.
     """
     need = max(1, math.ceil((math.log(_REL_TOL) + math.log(-math.expm1(lr))) / lr))
     if need > _MAX_TERMS:
@@ -119,10 +158,10 @@ def _geometric_series(g, y0, lr):
     total, done = 0.0, 0
     while done < need:
         n = min(_CHUNK, need - done)
-        terms = g(y0 + lr * np.arange(done, done + n, dtype=float))
-        total += float(terms.sum())
+        chunk, last = _chunk_sum(lambda j: g(y0 + lr * j), done, n)
+        total += chunk
         done += n
-        bound = abs(float(terms[-1])) * ratio
+        bound = abs(last) * ratio
         if bound <= _REL_TOL * abs(total):
             break
     return total, done, bound

@@ -10,6 +10,7 @@ import random
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 from pqgamma.cli import limit_rows, gaps_nonincreasing, run_sec4_campaign
@@ -187,7 +188,7 @@ def test_07_cm_of_gamma_ratio_product():
         deltas = sorted(rng.uniform(0.0, 1.0) for _ in range(n))
         spec = RatioSpec(tuple(a), tuple(ai + d for ai, d in zip(a, deltas)))
         assert validate_ratio_spec(spec) is None
-        rep = check_cm(lambda x: math.exp(log_G_pq(x, spec, params)), grid)
+        rep = check_cm(lambda x: np.exp(log_G_pq(x, spec, params)), grid)
         if rep.verdict != "pass":
             failures += 1
     msg = validate_ratio_spec(RatioSpec((1, 2), (0.5, 5)))
@@ -291,7 +292,7 @@ def test_11_limit_ladders():
 def test_12_negative_controls():
     rep_cm = check_cm(lambda x: x, GridSpec(0.0, 5.0))
     rep_lc = check_log_convex(lambda x: x, GridSpec(1.0, 5.0))
-    rep_lcm = check_lcm(math.exp, GridSpec(0.0, 5.0))
+    rep_lcm = check_lcm(np.exp, GridSpec(0.0, 5.0))
     ok = (rep_cm.verdict == "fail" and rep_cm.witness[1] == 1
           and rep_lc.verdict == "fail"
           and rep_lcm.verdict == "fail" and rep_lcm.witness[1] == 1)

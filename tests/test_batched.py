@@ -1,8 +1,8 @@
 """Array-valued (p,q) finite sums and the campaigns built on them.
 
 Every array call must equal the float calls element by element, bit for bit,
-and the vectorised Lemma 2.1 and section 4 campaigns must give the results of
-the sequential loops kept here as references.
+and the vectorised difference, Lemma 2.1 and section 4 campaigns must give the
+results of the sequential loops kept here as references.
 """
 
 import math
@@ -13,18 +13,34 @@ from hypothesis import given, settings, strategies as st
 
 from pqgamma import paperfuncs
 from pqgamma.gammafam import log_gamma_pq
-from pqgamma.monocheck import _LCG, GridSpec
+from pqgamma.monocheck import (
+    _EPS,
+    _LCG,
+    _MAX_ORDER,
+    _STEPS,
+    GridSpec,
+    MonotonicityReport,
+    check_cm,
+    check_lcm,
+    difference_table,
+)
 from pqgamma.paperfuncs import (
     _YOUNG_CHUNK,
     AffineInequalitySpec,
+    RatioSpec,
+    TwoPointSpec,
     check_young_bracket,
     f1,
+    f_theorem32,
+    h_beta,
     lemma_sign_check,
+    log_G_pq,
+    phi,
     run_sec4_campaign,
     sample_affine_specs,
 )
-from pqgamma.psifam import psi_pq
-from pqgamma.qcore import DomainError, PQParams, q_bracket
+from pqgamma.psifam import psi_pq, psi_pq_deriv
+from pqgamma.qcore import _SLICE, DomainError, PQParams, _exp, q_bracket
 
 P_VALUES = st.sampled_from([1, 3, 1000])
 Q_VALUES = st.floats(0.05, 1.0 - 1e-8)
@@ -53,6 +69,15 @@ class TestKernelArrays:
         got = psi_pq(np.array(xs), params)
         assert got.shape == (len(xs),)
         assert same_bits(got, [psi_pq(x, params) for x in xs])
+
+    @pytest.mark.parametrize("fn", [log_gamma_pq, psi_pq])
+    @pytest.mark.parametrize("p, count", [(3, 3 * _SLICE // 4 + 5), (1000, 50), (20000, 3)])
+    def test_arrays_longer_than_one_slice(self, fn, p, count):
+        # count * (p + 1) terms span several slices of _SLICE terms, or one row more
+        params = PQParams(p, 0.9)
+        xs = np.linspace(0.05, 9.0, count)
+        assert count * (p + 1) > _SLICE
+        assert same_bits(fn(xs, params), [fn(x, params) for x in xs.tolist()])
 
     def test_array_shape_is_kept(self):
         xs = np.linspace(0.5, 3.0, 6).reshape(2, 3)
@@ -102,6 +127,173 @@ class TestPaperFunctionArrays:
         spec = AffineInequalitySpec(0.5, 1.0, 1.0, 1.0, 1.0, 1.0)  # a + bx <= 0 at x <= -0.5
         with pytest.raises(DomainError, match="x=-0.5"):
             call(spec, np.array([0.0, 0.3, -0.5, 0.7]))
+
+
+RATIO_SPECS = st.sampled_from([RatioSpec((1, 2), (1.5, 2.5)), RatioSpec((0.5, 1, 3), (1, 1.5, 3)),
+                               RatioSpec((0.25,), (0.75,))])
+TWO_POINT_SPECS = st.sampled_from([TwoPointSpec(2.0, 1.0, 0.5), TwoPointSpec(1.0, 2.5, 1.0),
+                                   TwoPointSpec(0.5, -0.25, 0.3)])
+# offsets from beta that straddle the removable singularity's radius of 1e-6
+NEAR_BETA = st.sampled_from([0.0, 1e-7, -9e-7, 1e-6, -1e-6, 1.1e-6, 3e-3])
+
+
+class TestStencilFunctionArrays:
+    @given(st.sampled_from([1, 3, 50]), st.sampled_from([0.3, 0.5, 0.9]), X_ARRAYS,
+           st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_psi_pq_deriv(self, p, q, xs, n):
+        params = PQParams(p, q)
+        got = psi_pq_deriv(np.array(xs), params, n)
+        assert same_bits(got, [psi_pq_deriv(x, params, n) for x in xs])
+
+    @given(RATIO_SPECS, P_VALUES, Q_VALUES, X_ARRAYS)
+    @settings(max_examples=60, deadline=None)
+    def test_log_G_pq(self, spec, p, q, xs):
+        params = PQParams(p, q)
+        assert same_bits(log_G_pq(np.array(xs), spec, params),
+                         [log_G_pq(x, spec, params) for x in xs])
+
+    @given(P_VALUES, Q_VALUES, st.lists(st.floats(0.05, 20.0), min_size=1, max_size=12),
+           st.sampled_from(["as_defined", "as_proved"]))
+    @settings(max_examples=60, deadline=None)
+    def test_f_theorem32(self, p, q, xs, variant):
+        params = PQParams(p, q)
+        assert same_bits(f_theorem32(np.array(xs), params, variant),
+                         [f_theorem32(x, params, variant) for x in xs])
+
+    @given(TWO_POINT_SPECS, P_VALUES, Q_VALUES, st.lists(st.floats(0.0, 8.0), max_size=6),
+           st.lists(NEAR_BETA, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_h_beta(self, spec, p, q, offsets, near):
+        params = PQParams(p, q)
+        xs = [spec.beta + d for d in near] + [-spec.alpha + 0.01 + d for d in offsets]
+        assert same_bits(h_beta(np.array(xs), spec, params), [h_beta(x, spec, params) for x in xs])
+
+    @given(TWO_POINT_SPECS, P_VALUES, Q_VALUES, st.lists(st.floats(0.01, 8.0), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_phi(self, spec, p, q, offsets):
+        params = PQParams(p, q)
+        us = [-spec.alpha + d for d in offsets]
+        assert same_bits(phi(np.array(us), spec, params), [phi(u, spec, params) for u in us])
+
+    def test_arrays_longer_than_one_slice(self):
+        params = PQParams(40, 0.7)
+        xs = np.linspace(0.6, 5.0, 3 * _SLICE // 41)
+        spec, two = RatioSpec((1, 2), (1.5, 2.5)), TwoPointSpec(2.0, 1.0, 0.5)
+        for fn in (lambda x: log_G_pq(x, spec, params), lambda x: h_beta(x, two, params),
+                   lambda x: f_theorem32(x, params, "as_defined")):
+            assert same_bits(fn(xs), [fn(x) for x in xs.tolist()])
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda x: h_beta(x, TwoPointSpec(2.0, 1.0, 0.5), PQParams(3, 0.5)), "x"),
+        (lambda x: phi(x, TwoPointSpec(2.0, 1.0, 0.5), PQParams(3, 0.5)), "u"),
+    ])
+    def test_first_element_outside_the_domain_is_named(self, call, name):
+        with pytest.raises(DomainError, match=rf"{name} must lie in \(-1.0, inf\), got -1.5$"):
+            call(np.array([0.5, 2.0, -1.5, -3.0, np.nan]))
+
+    def test_first_nonpositive_x_is_named(self):
+        with pytest.raises(DomainError, match=r"got -0.25$"):
+            log_G_pq(np.array([0.5, -0.25, 0.0]), RatioSpec((1, 2), (1.5, 2.5)), PQParams(3, 0.5))
+
+
+def difference_campaign_loop(f, grid, tol_scale, min_order):
+    """The sequential difference campaign, one scalar call of f per abscissa in (x, h, j)
+    order and a strict < over (x, h, n): the reference for monocheck._difference_campaign."""
+    best_margin = math.inf
+    best = (0.0, (grid.lo, 0, _STEPS[0]), 0.0)
+    evaluations = 0
+    for x in grid.xs():
+        for h in _STEPS:
+            n_avail = min(_MAX_ORDER, int((grid.hi - x) / h + 1e-12))
+            if n_avail < min_order:
+                continue
+            vals = [f(x + j * h) for j in range(n_avail + 1)]
+            evaluations += n_avail + 1
+            rows = difference_table(vals)
+            table_mag = max(abs(v) for row in rows for v in row)
+            tol = tol_scale * _EPS * max(1.0, table_mag)
+            for n in range(min_order, n_avail + 1):
+                s = (-1.0) ** n * rows[n][0]
+                margin = s + tol
+                if margin < best_margin:
+                    best_margin = margin
+                    best = (s, (x, n, h), tol)
+    verdict = "pass" if best_margin >= 0.0 else "fail"
+    return MonotonicityReport(verdict, best[0], best[1], best[2], evaluations, grid.seed)
+
+
+def log_of(f):
+    """ln f at a float, as check_lcm takes it."""
+    return lambda x: math.log(f(x))
+
+
+P_STENCIL = PQParams(4, 0.49)
+G_SPEC = RatioSpec((1, 2), (1.5, 2.5))
+H_SPEC = TwoPointSpec(2.0, 1.0, 0.5)
+# (check, f at a float or an array, min_order); the f32 statement fails lcm, a NaN at x > 3
+# is skipped by the loop, and a constant makes every margin a tie
+STENCIL_CASES = {
+    "cm-psi-prime": (check_cm, lambda x: psi_pq_deriv(x, P_STENCIL, 1), 0),
+    "cm-psi-prime-negated": (check_cm, lambda x: -psi_pq_deriv(x, P_STENCIL, 1), 0),
+    "cm-G": (check_cm, lambda x: _exp(log_G_pq(x, G_SPEC, P_STENCIL)), 0),
+    "lcm-f32-as-defined": (check_lcm, lambda x: f_theorem32(x, P_STENCIL, "as_defined"), 1),
+    "lcm-f32-as-proved": (check_lcm, lambda x: f_theorem32(x, P_STENCIL, "as_proved"), 1),
+    "lcm-h": (check_lcm, lambda x: h_beta(x, H_SPEC, P_STENCIL), 1),
+    "cm-rational": (check_cm, lambda x: 0.7 / x + 1.3 / (x + 1.0), 0),
+    "cm-increasing": (check_cm, lambda x: x * x, 0),
+    "cm-constant": (check_cm, lambda x: 2.5 + 0.0 * x, 0),
+    "cm-nan-above-3": (check_cm, lambda x: np.where(np.asarray(x) > 3.0, np.nan, 1.0 / x)[()], 0),
+    "lcm-rational": (check_lcm, lambda x: 1.0 + 1.0 / x, 1),
+}
+GRIDS = st.builds(lambda lo, width, points, seed: GridSpec(lo, lo + width, points, seed),
+                  st.floats(0.51, 3.0), st.floats(0.004, 6.0),
+                  st.sampled_from([1, 2, 3, 8, 17, 64]), st.integers(0, 10**6))
+
+
+class TestDifferenceCampaignReference:
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+    @given(grid=GRIDS, tol_scale=st.sampled_from([0.0, 1.0, 1e3]))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_sequential_loop(self, case, grid, tol_scale):
+        check, f, min_order = STENCIL_CASES[case]
+        report = check(f, grid, tol_scale)
+        scalar = log_of(f) if min_order else f
+        assert report == difference_campaign_loop(scalar, grid, tol_scale, min_order)
+        assert type(report.min_slack) is float and type(report.tolerance_used) is float
+        assert type(report.evaluations) is int
+        assert [type(w) for w in report.witness] == [float, int, float]
+
+    @pytest.mark.parametrize("case", ["cm-psi-prime", "cm-G", "lcm-f32-as-defined", "lcm-h",
+                                      "cm-constant", "cm-increasing"])
+    @pytest.mark.parametrize("points", [1, 16, 64])
+    def test_campaign_grids(self, case, points):
+        check, f, min_order = STENCIL_CASES[case]
+        grid = GridSpec(0.6, 5.0, points)
+        report = check(f, grid)
+        assert report == difference_campaign_loop(log_of(f) if min_order else f, grid, 1e3,
+                                                  min_order)
+
+    def test_failing_cells_and_ties_are_covered(self):
+        grid = GridSpec(0.5, 6.0, 16)
+        assert check_lcm(STENCIL_CASES["lcm-f32-as-defined"][1], grid).verdict == "fail"
+        assert check_cm(STENCIL_CASES["cm-psi-prime-negated"][1], grid).verdict == "fail"
+        tie = check_cm(STENCIL_CASES["cm-constant"][1], grid, 0.0)
+        assert tie.min_slack == 0.0 and tie.witness == (0.5, 1, _STEPS[0])
+
+    def test_one_call_of_f_per_campaign(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return 1.0 / x
+
+        report = check_cm(f, GridSpec(0.5, 6.0, 32))
+        assert len(calls) == 1 and calls[0] == (report.evaluations,)
+
+    def test_a_grid_without_a_full_stencil_calls_nothing(self):
+        report = check_lcm(lambda x: pytest.fail("f was called"), GridSpec(1.0, 1.004, 3))
+        assert report.verdict == "pass" and report.evaluations == 0
 
 
 class TestUniforms:
@@ -160,6 +352,28 @@ class TestYoungBracketReference:
         assert check_young_bracket(grid, tol_scale=1e6).tolerance_used == 1e-14 * 1e3
 
 
+def affine_specs_loop(samples, seed):
+    """The sequential sampler: a, b, d, e, c, f from consecutive uniforms of each sample."""
+    rng = _LCG(seed)
+    out = []
+    for _ in range(samples):
+        a = 0.2 + 2.8 * rng.uniform()
+        b = 0.1 + 1.9 * rng.uniform()
+        d = a + 2.0 * rng.uniform()
+        e = b + 2.0 * rng.uniform()
+        c = 0.1 + 1.9 * rng.uniform()
+        f = 0.1 + 1.9 * rng.uniform()
+        out.append(AffineInequalitySpec(a, b, c, d, e, f))
+    return out
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 42), (300, 7), (1000, 677212)])
+def test_sampled_specs_equal_the_sequential_draws(samples, seed):
+    specs = sample_affine_specs(samples, seed)
+    assert specs == affine_specs_loop(samples, seed)
+    assert all(type(v) is float for spec in specs[:3] for v in vars(spec).values())
+
+
 def sec4_loop(params, samples, seed):
     """The sequential section 4 loop, endpoints' self-comparisons skipped."""
     xs = [i / 20 for i in range(21)]
@@ -199,7 +413,7 @@ class TestSec4Reference:
         assert result["min_slack"] > 0.0
 
     def test_one_psi_evaluation_per_spec(self, monkeypatch):
-        # the L42 and L43 gates share one psi_pq call on the spec's 42 affine points
+        # the L42 and L43 gates share one psi_pq call on every spec's 42 affine points
         calls = []
 
         def spy(x, params):
@@ -208,6 +422,6 @@ class TestSec4Reference:
 
         monkeypatch.setattr(paperfuncs, "psi_pq", spy)
         result = run_sec4_campaign(PQParams(3, 0.5), samples=60, seed=42)
-        assert calls == [(2, 21)] * 60
+        assert calls == [(2, 60, 21)]
         assert result["skipped"] > 0
         assert result["evaluations"] == 2 * 21 * 60 + 21 * result["qualified"]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,8 +100,8 @@ class TestGridSpec:
             seen = []
 
             def f(x):
-                seen.append(x)
-                return math.exp(-x)
+                seen.extend(x.tolist())
+                return np.exp(-x)
 
             report = check(f, grid)
             assert report.evaluations == len(seen)
@@ -112,7 +113,7 @@ class TestGridSpec:
 
 class TestCheckCM:
     def test_canonical_pass(self):
-        assert check_cm(lambda x: math.exp(-x), GridSpec(0.0, 5.0)).verdict == "pass"
+        assert check_cm(lambda x: np.exp(-x), GridSpec(0.0, 5.0)).verdict == "pass"
 
     def test_increasing_linear_fails_at_order_one(self):
         report = check_cm(lambda x: x, GridSpec(0.0, 5.0))
@@ -121,35 +122,35 @@ class TestCheckCM:
         assert report.min_slack < -report.tolerance_used
 
     def test_nonnegative_combination_closure(self):
-        f = lambda x: 2.0 * math.exp(-x) + 0.7 / x + 1.3 / (x + 1)
+        f = lambda x: 2.0 * np.exp(-x) + 0.7 / x + 1.3 / (x + 1)
         assert check_cm(f, GridSpec(0.5, 5.0)).verdict == "pass"
 
     def test_product_closure(self):
-        f = lambda x: math.exp(-x) * (1.0 / (x + 1))
+        f = lambda x: np.exp(-x) * (1.0 / (x + 1))
         assert check_cm(f, GridSpec(0.0, 5.0)).verdict == "pass"
 
     def test_report_invariant(self):
-        report = check_cm(lambda x: math.exp(-x), GridSpec(0.0, 5.0))
+        report = check_cm(lambda x: np.exp(-x), GridSpec(0.0, 5.0))
         assert (report.verdict == "pass") == (report.min_slack >= -report.tolerance_used)
         assert report.evaluations > 0
 
     def test_deterministic(self):
-        f = lambda x: math.exp(-x)
+        f = lambda x: np.exp(-x)
         assert check_cm(f, GridSpec(0.0, 5.0)) == check_cm(f, GridSpec(0.0, 5.0))
 
 
 class TestCheckLCM:
     def test_exp_reciprocal_passes(self):
-        assert check_lcm(lambda x: math.exp(1.0 / x), GridSpec(0.5, 5.0)).verdict == "pass"
+        assert check_lcm(lambda x: np.exp(1.0 / x), GridSpec(0.5, 5.0)).verdict == "pass"
 
     def test_exp_fails_at_order_one(self):
-        report = check_lcm(math.exp, GridSpec(0.0, 5.0))
+        report = check_lcm(np.exp, GridSpec(0.0, 5.0))
         assert report.verdict == "fail"
         assert report.witness[1] == 1
 
     def test_order_zero_excluded(self):
         # e^{2/x} > 1 is not CM-relevant at order 0; LCM only tests n >= 1
-        report = check_lcm(lambda x: 3.0 * math.exp(1.0 / x), GridSpec(0.5, 5.0))
+        report = check_lcm(lambda x: 3.0 * np.exp(1.0 / x), GridSpec(0.5, 5.0))
         assert report.verdict == "pass"
 
     def test_nonpositive_function_raises(self):
@@ -190,8 +191,8 @@ class TestCheckDecreasing:
 # every campaign of the package, as tol_scale -> report (the sec4 result dict has a tolerance)
 SMALL_GRID = GridSpec(0.5, 2.0, points=4)
 TOL_SCALE_CAMPAIGNS = {
-    "check_cm": lambda t: check_cm(lambda x: math.exp(-x), SMALL_GRID, t),
-    "check_lcm": lambda t: check_lcm(lambda x: math.exp(-x) + 1.0, SMALL_GRID, t),
+    "check_cm": lambda t: check_cm(lambda x: np.exp(-x), SMALL_GRID, t),
+    "check_lcm": lambda t: check_lcm(lambda x: np.exp(-x) + 1.0, SMALL_GRID, t),
     "check_log_convex": lambda t: check_log_convex(math.exp, SMALL_GRID, t),
     "check_decreasing": lambda t: check_decreasing(lambda x: -x, SMALL_GRID, t),
     "check_young_bracket": lambda t: check_young_bracket(SMALL_GRID, t),
@@ -215,7 +216,7 @@ class TestTolScale:
     def test_an_infinite_scale_would_pass_a_negative_control(self):
         # Gamma_{4,0.5} is not completely monotonic
         params = PQParams(4, 0.5)
-        gamma, grid = (lambda x: math.exp(log_gamma_pq(x, params))), GridSpec(0.5, 6.0, 8)
+        gamma, grid = (lambda x: np.exp(log_gamma_pq(x, params))), GridSpec(0.5, 6.0, 8)
         assert check_cm(gamma, grid).verdict == "fail"
         with pytest.raises(DomainError):
             check_cm(gamma, grid, math.inf)

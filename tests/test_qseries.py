@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pqgamma import gammafam, qcore
+from pqgamma import gammafam, psifam, qcore
 from pqgamma.cli import main
 from pqgamma.gammafam import log_gamma_q
 from pqgamma.psifam import _polylog_neg, psi_q, psi_q_deriv
@@ -101,6 +101,63 @@ def test_terms_match_up_front_count():
     need = math.ceil(math.log(qcore._REL_TOL * (1 - r)) / math.log(r))
     _, terms, _ = _geometric_series(_polylog_neg(0), 0.5 * math.log(r), math.log(r))
     assert terms == need == 48
+
+
+def geometric_series_loop(g, y0, lr):
+    """The kernel's summation before chunks were split: every chunk of up to 2^14 terms
+    evaluated and summed by one numpy call."""
+    need = max(1, math.ceil((math.log(qcore._REL_TOL) + math.log(-math.expm1(lr))) / lr))
+    ratio = 1.0 / math.expm1(-lr)
+    total, done = 0.0, 0
+    while done < need:
+        n = min(1 << 14, need - done)
+        terms = g(y0 + lr * np.arange(done, done + n, dtype=float))
+        total += float(terms.sum())
+        done += n
+        bound = abs(float(terms[-1])) * ratio
+        if bound <= qcore._REL_TOL * abs(total):
+            break
+    return total, done, bound
+
+
+# r from 48 terms to several chunks; the last chunk of each lies on one side of the split
+@pytest.mark.parametrize("r", [0.5, 0.99, 0.996, 0.9983, 0.9991, 0.99965, 0.9999])
+@pytest.mark.parametrize("s", [1, 0, -2])
+def test_split_chunks_sum_as_one_call(r, s):
+    g = (lambda y: np.log1p(-np.exp(y))) if s == 1 else _polylog_neg(-s)
+    lr = math.log(r)
+    assert _geometric_series(g, 0.7 * lr, lr) == geometric_series_loop(g, 0.7 * lr, lr)
+
+
+@pytest.mark.parametrize("n", [1, 7, 128, 129, qcore._SLICE, qcore._SLICE + 1, 9999, 12345,
+                               (1 << 14) - 3, (1 << 14) - 1, 1 << 14])
+def test_chunk_sum_is_numpy_sum(n):
+    # positive terms of one size, whose rounded sum depends on where the halves split
+    values = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    sizes = []
+
+    def term(j):
+        sizes.append(len(j))
+        return values[j.astype(int) - 3]
+
+    assert qcore._chunk_sum(term, 3, n) == (float(values.sum()), float(values[-1]))
+    assert max(sizes) <= qcore._SLICE + 8  # halves of at most ~64 KiB
+
+
+@pytest.mark.parametrize("x, q, n", [(0.5, 0.9999, 1), (3.7, 1.0002, 2), (1.5, 0.99995, 4)])
+def test_q_functions_over_split_chunks_match_the_loop(x, q, n, monkeypatch):
+    got = (log_gamma_q(x, q), psi_q(x, q), psi_q_deriv(x, q, n))
+    for module in (gammafam, psifam):
+        monkeypatch.setattr(module, "_geometric_series", geometric_series_loop)
+    assert got == (log_gamma_q(x, q), psi_q(x, q), psi_q_deriv(x, q, n))
+
+
+def test_psi_p_over_split_chunks_matches_one_call_per_chunk():
+    x, p = 1.7, 3 * (1 << 14) + 9000
+    total = 0.0
+    for k0 in range(0, p + 1, 1 << 14):
+        total += float((1.0 / (x + np.arange(k0, min(k0 + (1 << 14), p + 1), dtype=float))).sum())
+    assert psifam.psi_p(x, p) == math.log(p) - total
 
 
 def spy_kernel(monkeypatch, module):
