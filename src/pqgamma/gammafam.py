@@ -32,11 +32,7 @@ def log_gamma_pq(x, params: PQParams):
     xs = _positive_array(x)
     p, q = params.p, params.q
     lbp, lfac, ks = _pq_constants(p, q)
-    if xs.ndim:
-        den = _row_sums(log_q_bracket, xs, ks, q)
-    else:  # a float x: the same sum, without the slicing's Python overhead
-        den = log_q_bracket(xs + ks, q).sum()
-    out = xs * lbp + lfac - den
+    out = xs * lbp + lfac - _row_sums(log_q_bracket, xs, ks, q)
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,10 +6,10 @@ only function values; high-order numerical derivatives are hopeless at
 double precision.  Tolerances scale with the largest table magnitude to
 absorb cancellation.
 
-check_cm and check_lcm pass f the 1-D array of every stencil abscissa in one
-call and build the tables with numpy; their result is that of the sequential
-loop over grid points, steps and orders.  check_log_convex and
-check_decreasing call f at one float at a time.
+check_cm and check_lcm pass f the 1-D array of the stencil abscissae of up to
+_BLOCK grid points in one call and build the tables with numpy; their result is
+that of the sequential loop over grid points, steps and orders.
+check_log_convex and check_decreasing call f at one float at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .qcore import DomainError
 _EPS = 2.220446049250313e-16
 _STEPS = (1e-2, 1e-1, 0.5)  # stencil spacings h of the difference campaigns
 _MAX_ORDER = 6  # highest difference order of the difference campaigns
+_BLOCK = 1024  # grid points per call of f in the difference campaigns
 
 
 @dataclass(frozen=True)
@@ -121,15 +122,37 @@ def _difference_campaign(f, grid, tol_scale, min_order):
     """The difference test at every grid point x and step h of _STEPS, over the orders
     min_order..n that x + n h <= hi allows (at most _MAX_ORDER).
 
-    Every abscissa x + j h is evaluated in one call of f, in the order (x, h, j).  The
-    tables of the cells with n orders are built together with np.diff, the subtraction of
-    difference_table, and the result is that of a loop over (x, h, n) keeping the first
-    smallest margin (-1)^n Delta_h^n f(x) + tol."""
+    The grid points are taken in blocks of _BLOCK, each evaluated in one call of f, and
+    the result is that of a loop over (x, h, n) keeping the first smallest margin
+    (-1)^n Delta_h^n f(x) + tol."""
     _check_tol_scale(tol_scale)
     xs = grid.xs()
+    best_margin = math.inf
+    best = (0.0, (grid.lo, 0, _STEPS[0]), 0.0)
+    evaluations = 0
+    for b in range(0, len(xs), _BLOCK):
+        margin, found, count = _difference_block(f, xs[b:b + _BLOCK], grid.hi, tol_scale,
+                                                 min_order)
+        evaluations += count
+        if margin < best_margin:
+            best_margin, best = margin, found
+    verdict = "pass" if best_margin >= 0.0 else "fail"
+    return MonotonicityReport(verdict, best[0], best[1], best[2], evaluations, grid.seed)
+
+
+def _difference_block(f, xs, hi, tol_scale, min_order):
+    """(margin, (slack, witness, tol), evaluations) of the first smallest margin over the
+    grid points xs; the margin is inf when no order is tested.
+
+    Every abscissa x + j h is evaluated in one call of f, in the order (x, h, j).  The
+    tables of the cells with n orders are built together with np.diff, the subtraction of
+    difference_table."""
     x0 = np.array(xs)[:, None]
     steps = np.array(_STEPS)
-    avail = np.minimum(_MAX_ORDER, ((grid.hi - x0) / steps + 1e-12).astype(int))  # (x, h)
+    with np.errstate(over="ignore"):
+        ratio = (hi - x0) / steps + 1e-12  # (x, h)
+    int(ratio.max())  # an inf ratio raises OverflowError, as int() does in the loop
+    avail = np.minimum(_MAX_ORDER, ratio).astype(int)  # capped before the cast to int
     avail[avail < min_order] = -1  # cells with too few orders evaluate nothing
     js = np.arange(_MAX_ORDER + 1)
     used = js <= avail[..., None]  # (x, h, j)
@@ -159,14 +182,9 @@ def _difference_campaign(f, grid, tol_scale, min_order):
     margins[..., :min_order] = math.inf
     margins[np.isnan(margins)] = math.inf  # a NaN margin is never below the best
     k = int(np.argmin(margins))  # the first smallest in (x, h, n) order
-    if margins.flat[k] < math.inf:
-        i, h, n = np.unravel_index(k, margins.shape)
-        best = (float(slack.flat[k]), (xs[i], int(n), _STEPS[h]), float(tols[i, h]))
-        verdict = "pass" if margins.flat[k] >= 0.0 else "fail"
-    else:
-        best = (0.0, (grid.lo, 0, _STEPS[0]), 0.0)
-        verdict = "pass"
-    return MonotonicityReport(verdict, best[0], best[1], best[2], int(used.sum()), grid.seed)
+    i, h, n = np.unravel_index(k, margins.shape)
+    found = (float(slack.flat[k]), (xs[i], int(n), _STEPS[h]), float(tols[i, h]))
+    return float(margins.flat[k]), found, int(used.sum())
 
 
 def check_cm(f, grid: GridSpec, tol_scale=1e3):

@@ -45,11 +45,7 @@ def psi_pq(x, params: PQParams):
     p, q = params.p, params.q
     lbp, _, ks = _pq_constants(p, q)
     lq = math.log(q)
-    if xs.ndim:
-        s = _row_sums(_psi_terms, xs, ks, lq)
-    else:  # a float x: the same sum, without the slicing's Python overhead
-        s = _psi_terms(xs + ks, lq).sum()
-    out = lbp - lq * s
+    out = lbp - lq * _row_sums(_psi_terms, xs, ks, lq)
     return float(out) if out.ndim == 0 else out
 
 

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from pqgamma import paperfuncs
 from pqgamma.gammafam import log_gamma_pq
+from pqgamma import monocheck
 from pqgamma.monocheck import (
+    _BLOCK,
     _EPS,
     _LCG,
     _MAX_ORDER,
@@ -290,6 +292,53 @@ class TestDifferenceCampaignReference:
 
         report = check_cm(f, GridSpec(0.5, 6.0, 32))
         assert len(calls) == 1 and calls[0] == (report.evaluations,)
+
+    @pytest.mark.parametrize("case", ["cm-rational", "cm-increasing", "cm-constant",
+                                      "cm-nan-above-3", "lcm-rational"])
+    def test_grids_of_several_blocks(self, case):
+        check, f, min_order = STENCIL_CASES[case]
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        grid = GridSpec(0.6, 40.0, 2 * _BLOCK + 5)  # the last block has full stencils too
+        report = check(counted, grid)
+        assert len(calls) == 3 and max(calls) <= _BLOCK * len(_STEPS) * (_MAX_ORDER + 1)
+        assert report == difference_campaign_loop(log_of(f) if min_order else f, grid, 1e3,
+                                                  min_order)
+
+    @pytest.mark.parametrize("block", [1, 5])
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+    @given(grid=GRIDS, tol_scale=st.sampled_from([0.0, 1e3]))
+    @settings(max_examples=10, deadline=None)
+    def test_block_boundaries_keep_the_first_smallest(self, block, case, grid, tol_scale):
+        check, f, min_order = STENCIL_CASES[case]
+        scalar = log_of(f) if min_order else f
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monocheck, "_BLOCK", block)
+            report = check(f, grid, tol_scale)
+        assert report == difference_campaign_loop(scalar, grid, tol_scale, min_order)
+
+    @pytest.mark.parametrize("hi", [1e17, 1e19])
+    def test_order_counts_beyond_int64(self, hi):
+        # (hi - x)/h exceeds 2^63 at x = lo and x = (lo + hi)/2, whose cells are tested to
+        # order _MAX_ORDER; x = hi takes order 0 only
+        check, f, min_order = STENCIL_CASES["cm-rational"]
+        grid = GridSpec(0.5, hi, 3)
+        report = check(f, grid)
+        assert report == difference_campaign_loop(f, grid, 1e3, min_order)
+        assert report.evaluations == (2 * (_MAX_ORDER + 1) + 1) * len(_STEPS)
+
+    def test_an_overflowing_order_count_raises_as_the_loop_does(self):
+        grid = GridSpec(0.5, 1e308, 1)  # (hi - lo)/h is inf
+        f = STENCIL_CASES["cm-rational"][1]
+        with pytest.raises(OverflowError) as loop:
+            difference_campaign_loop(f, grid, 1e3, 0)
+        with pytest.raises(OverflowError) as batched:
+            check_cm(f, grid)
+        assert str(batched.value) == str(loop.value)
 
     def test_a_grid_without_a_full_stencil_calls_nothing(self):
         report = check_lcm(lambda x: pytest.fail("f was called"), GridSpec(1.0, 1.004, 3))
