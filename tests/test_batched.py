@@ -6,6 +6,7 @@ results of the sequential loops kept here as references.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from pqgamma import paperfuncs
 from pqgamma.gammafam import log_gamma_pq
-from pqgamma import monocheck
+from pqgamma import monocheck, psifam
 from pqgamma.monocheck import (
     _BLOCK,
     _EPS,
@@ -24,6 +25,7 @@ from pqgamma.monocheck import (
     MonotonicityReport,
     check_cm,
     check_lcm,
+    check_log_convex,
     difference_table,
 )
 from pqgamma.paperfuncs import (
@@ -41,8 +43,8 @@ from pqgamma.paperfuncs import (
     run_sec4_campaign,
     sample_affine_specs,
 )
-from pqgamma.psifam import psi_pq, psi_pq_deriv
-from pqgamma.qcore import _SLICE, DomainError, PQParams, _exp, q_bracket
+from pqgamma.psifam import _M_ROWS, psi_pq, psi_pq_deriv
+from pqgamma.qcore import _SLICE, DomainError, PQParams, TruncationError, _exp, q_bracket
 
 P_VALUES = st.sampled_from([1, 3, 1000])
 Q_VALUES = st.floats(0.05, 1.0 - 1e-8)
@@ -147,6 +149,42 @@ class TestStencilFunctionArrays:
         params = PQParams(p, q)
         got = psi_pq_deriv(np.array(xs), params, n)
         assert same_bits(got, [psi_pq_deriv(x, params, n) for x in xs])
+
+    # 70 rows span three slices of _M_ROWS; x from lo to 20 spreads the rows' stopping
+    # blocks over 1/x, and lo is as small as each q allows within the 10^6-term cap
+    @pytest.mark.parametrize("q, lo", [(0.5, 1e-3), (0.9, 1e-3), (0.99, 0.01), (0.999, 0.2)])
+    @pytest.mark.parametrize("p, n", [(1, 1), (4, 3), (1000, 8)])
+    def test_psi_pq_deriv_over_several_slices(self, q, lo, p, n):
+        params = PQParams(p, q)
+        xs = np.random.default_rng(n).permutation(np.geomspace(lo, 20.0, 70))
+        assert xs.size > 2 * _M_ROWS
+        assert same_bits(psi_pq_deriv(xs, params, n),
+                         [psi_pq_deriv(x, params, n) for x in xs.tolist()])
+
+    def test_psi_pq_deriv_keeps_the_shape(self):
+        params = PQParams(3, 0.9)
+        xs = np.geomspace(0.05, 8.0, 12).reshape(3, 4)
+        got = psi_pq_deriv(xs, params, 2)
+        assert got.shape == (3, 4)
+        assert same_bits(got.ravel(), [psi_pq_deriv(x, params, 2) for x in xs.ravel().tolist()])
+        assert psi_pq_deriv(np.array(1.5), params, 2).shape == ()
+        assert psi_pq_deriv(np.array([]), params, 2).shape == (0,)
+
+    def test_psi_pq_deriv_names_the_first_truncated_element(self):
+        # at q = 0.999, x = 0.01 and 0.005 need over 10^6 terms; x = 1 and 3 need ~4e4
+        params = PQParams(3, 0.999)
+        with pytest.raises(TruncationError) as scalar:
+            psi_pq_deriv(0.01, params, 1)
+        with pytest.raises(TruncationError) as batched:
+            psi_pq_deriv(np.array([1.0, 0.01, 3.0, 0.005]), params, 1)
+        assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.5, np.nan, np.inf])
+    def test_psi_pq_deriv_checks_every_x_before_summing(self, bad, monkeypatch):
+        monkeypatch.setattr(psifam, "_m_block", lambda *a: pytest.fail("summed"))
+        with pytest.raises(DomainError, match="x must be positive and finite"):
+            # 0.001 at q = 0.9999 would hit the term cap first
+            psi_pq_deriv(np.array([0.001, 2.0, bad]), PQParams(3, 0.9999), 1)
 
     @given(RATIO_SPECS, P_VALUES, Q_VALUES, X_ARRAYS)
     @settings(max_examples=60, deadline=None)
@@ -331,14 +369,14 @@ class TestDifferenceCampaignReference:
         assert report == difference_campaign_loop(f, grid, 1e3, min_order)
         assert report.evaluations == (2 * (_MAX_ORDER + 1) + 1) * len(_STEPS)
 
-    def test_an_overflowing_order_count_raises_as_the_loop_does(self):
-        grid = GridSpec(0.5, 1e308, 1)  # (hi - lo)/h is inf
-        f = STENCIL_CASES["cm-rational"][1]
-        with pytest.raises(OverflowError) as loop:
-            difference_campaign_loop(f, grid, 1e3, 0)
-        with pytest.raises(OverflowError) as batched:
-            check_cm(f, grid)
-        assert str(batched.value) == str(loop.value)
+    @pytest.mark.parametrize("lo, hi, points", [
+        (0.5, 1e308, 1),  # (hi - lo)/h is inf
+        (-1e308, 1e308, 2),  # hi - lo is inf
+        (0.5, 1e306, 1000),  # (hi - lo)*(points - 1), and so the last grid point, is inf
+    ])
+    def test_an_overflowing_grid_is_a_domain_error(self, lo, hi, points):
+        with pytest.raises(DomainError, match="lo and hi .* " + re.escape(f"lo = {lo}, hi = {hi}")):
+            GridSpec(lo, hi, points)
 
     def test_a_grid_without_a_full_stencil_calls_nothing(self):
         report = check_lcm(lambda x: pytest.fail("f was called"), GridSpec(1.0, 1.004, 3))
@@ -399,6 +437,63 @@ class TestYoungBracketReference:
         grid = GridSpec(0.0, 5.0, points=4)
         assert check_young_bracket(grid).tolerance_used == 1e-14
         assert check_young_bracket(grid, tol_scale=1e6).tolerance_used == 1e-14 * 1e3
+
+
+def log_convex_loop(f, grid, tol_scale=1e3):
+    """The sequential log-convexity campaign, three uniform() draws per triple."""
+    rng = _LCG(grid.seed)
+    best_margin = math.inf
+    best = (0.0, (grid.lo, grid.lo, 0.5), 0.0)
+    evaluations = 0
+    span = grid.hi - grid.lo
+    for _ in range(grid.points**2):
+        x = grid.lo + span * rng.uniform()
+        y = grid.lo + span * rng.uniform()
+        alpha = rng.uniform()
+        beta = 1.0 - alpha
+        lx, ly, lm = f(x), f(y), f(alpha * x + beta * y)
+        evaluations += 3
+        lhs = math.log(lm)
+        rhs = alpha * math.log(lx) + beta * math.log(ly)
+        slack = rhs - lhs
+        tol = tol_scale * _EPS * max(1.0, abs(lhs), abs(rhs))
+        if slack + tol < best_margin:
+            best_margin = slack + tol
+            best = (slack, (x, y, alpha), tol)
+    verdict = "pass" if best_margin >= 0.0 else "fail"
+    return MonotonicityReport(verdict, best[0], best[1], best[2], evaluations, grid.seed)
+
+
+P_LOG_CONVEX = PQParams(4, 0.6)
+
+
+class TestLogConvexReference:
+    # Gamma_{4,0.6} is log-convex; 1/Gamma_{4,0.6} fails, as the benchmark's negative control
+    @pytest.mark.parametrize("f, verdict", [
+        (lambda x: math.exp(log_gamma_pq(x, P_LOG_CONVEX)), "pass"),
+        (lambda x: math.exp(-log_gamma_pq(x, P_LOG_CONVEX)), "fail"),
+    ], ids=["gamma", "reciprocal"])
+    @pytest.mark.parametrize("seed", [42, 7, 677212])
+    def test_matches_sequential_loop(self, f, verdict, seed):
+        grid = GridSpec(0.5, 8.0, points=24, seed=seed)
+        report = check_log_convex(f, grid)
+        assert report == log_convex_loop(f, grid)
+        assert report.verdict == verdict
+        assert [type(w) for w in report.witness] == [float, float, float]
+
+    # 70 points draw over two chunks of _DRAWS; a chunk of 5 splits triples between calls
+    @pytest.mark.parametrize("draws, points", [(monocheck._DRAWS, 64), (monocheck._DRAWS, 70),
+                                               (5, 9)])
+    def test_draws_in_chunks(self, draws, points, monkeypatch):
+        f = lambda x: math.exp(log_gamma_pq(x, P_LOG_CONVEX))  # noqa: E731
+        grid = GridSpec(0.5, 8.0, points=points, seed=677212)
+        sizes = []
+        uniforms = _LCG.uniforms
+        monkeypatch.setattr(monocheck, "_DRAWS", draws)
+        monkeypatch.setattr(_LCG, "uniforms", lambda rng, n: sizes.append(n) or uniforms(rng, n))
+        report = check_log_convex(f, grid)
+        assert sum(sizes) == 3 * points**2 and len(sizes) == -(-3 * points**2 // draws)
+        assert report == log_convex_loop(f, grid)
 
 
 def affine_specs_loop(samples, seed):
