@@ -37,13 +37,13 @@ def log_gamma_pq(x, params: PQParams):
 
 
 def log_gamma_p(x, p):
-    """ln Gamma_p(x) = x ln p + sum_{k=1}^{p} ln k - sum_{k=0}^{p} ln(x+k)."""
+    """ln Gamma_p(x) = x ln p - ln x - sum_{k=1}^{p} log1p(x/k), the sums of ln k and
+    ln(x+k) paired term by term, so that no O(p ln p) log-sums cancel."""
     _check_x(x)
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError(f"p must be a positive integer, got {p!r}")
-    num = np.log(np.arange(1, p + 1, dtype=float)).sum()
-    den = np.log(x + np.arange(0, p + 1, dtype=float)).sum()
-    return x * math.log(p) + float(num) - float(den)
+    s = np.log1p(x / np.arange(1, p + 1, dtype=float)).sum()
+    return x * math.log(p) - math.log(x) - float(s)
 
 
 def log_gamma_q(x, q):

@@ -156,9 +156,11 @@ def _difference_block(f, xs, hi, tol_scale, min_order):
     """(margin, (slack, witness, tol), evaluations) of the first smallest margin over the
     grid points xs; the margin is inf when no order is tested.
 
-    Every abscissa x + j h is evaluated in one call of f, in the order (x, h, j).  The
-    tables of the cells with n orders are built together with np.diff, the subtraction of
-    difference_table."""
+    Every abscissa x + j h is evaluated in one call of f, in the order (x, h, j).  Each
+    cell (x, h) with n orders gets the full table of _MAX_ORDER + 1 values by np.diff, the
+    subtraction of difference_table, its values past j = n padded with NaN.  Entry i of
+    row r reads the values i .. i + r, so the entries of the cell's own table, i + r <= n,
+    are those of its n-order table, and every other entry is NaN."""
     x0 = np.array(xs)[:, None]
     steps = np.array(_STEPS)
     ratio = (hi - x0) / steps + 1e-12  # (x, h), finite as GridSpec checks
@@ -166,31 +168,20 @@ def _difference_block(f, xs, hi, tol_scale, min_order):
     avail[avail < min_order] = -1  # cells with too few orders evaluate nothing
     js = np.arange(_MAX_ORDER + 1)
     used = js <= avail[..., None]  # (x, h, j)
-    values = np.zeros(used.shape)
+    values = np.full(used.shape, math.nan)
     if used.any():
         values[used] = f((x0[..., None] + js * steps[:, None])[used])
-    # margins[x, h, n]; inf marks an order that is not tested
-    margins = np.full(used.shape, math.inf)
-    slack = np.zeros(used.shape)
-    tols = np.zeros(avail.shape)
-    for n_avail in range(min_order, _MAX_ORDER + 1):
-        cells = avail == n_avail
-        if not cells.any():
-            continue
-        rows = [values[cells][:, : n_avail + 1]]
-        while rows[-1].shape[1] > 1:
-            rows.append(np.diff(rows[-1], axis=1))
-        # max(abs(v) for row in rows for v in row), which skips a NaN unless it comes first
-        first = np.abs(rows[0][:, 0])
-        mag = np.fmax.reduce(np.concatenate([np.abs(r) for r in rows], axis=1), axis=1)
-        tol = tol_scale * _EPS * np.fmax(1.0, np.where(np.isnan(first), first, mag))
-        signs = (-1.0) ** np.arange(n_avail + 1)
-        s = signs * np.stack([r[:, 0] for r in rows], axis=1)  # (-1)^n Delta^n f(x)
-        slack[cells, : n_avail + 1] = s
-        margins[cells, : n_avail + 1] = s + tol[:, None]
-        tols[cells] = tol
+    rows = [values]
+    while rows[-1].shape[-1] > 1:
+        rows.append(np.diff(rows[-1], axis=-1))
+    # max(abs(v) for row in rows for v in row), which skips a NaN unless it comes first
+    first = np.abs(values[..., 0])
+    mag = np.fmax.reduce(np.abs(np.concatenate(rows, axis=-1)), axis=-1)
+    tols = tol_scale * _EPS * np.fmax(1.0, np.where(np.isnan(first), first, mag))
+    slack = (-1.0) ** js * np.stack([r[..., 0] for r in rows], axis=-1)  # (-1)^n Delta^n f(x)
+    margins = slack + tols[..., None]  # NaN past the cell's orders
     margins[..., :min_order] = math.inf
-    margins[np.isnan(margins)] = math.inf  # a NaN margin is never below the best
+    margins[np.isnan(margins)] = math.inf  # an untested order or a NaN margin is never best
     k = int(np.argmin(margins))  # the first smallest in (x, h, n) order
     i, h, n = np.unravel_index(k, margins.shape)
     found = (float(slack.flat[k]), (xs[i], int(n), _STEPS[h]), float(tols[i, h]))

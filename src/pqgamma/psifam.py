@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .qcore import _CHUNK, _REL_TOL, _SLICE, DomainError, PQParams, TruncationError
-from .qcore import _check_q, _check_x, _chunk_sum, _geometric_series, _positive_array
+from .qcore import _REL_TOL, _SLICE, DomainError, PQParams, TruncationError
+from .qcore import _check_q, _check_x, _geometric_series, _positive_array
 from .qcore import _pq_constants, _row_sums
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -31,7 +31,7 @@ _PSI_ASY = (
     -3617.0 / 8160.0,
 )
 
-_SHIFT = 10.0
+_SHIFT = 10  # psi_classical recurs up to here, then takes its asymptotic series
 
 _M_MAX_TERMS = 10**6  # cap of the psi_pq_deriv m-series, which has no up-front term count
 
@@ -60,7 +60,7 @@ def psi_pq_deriv(x, params: PQParams, order):
 
     (ln q)^{n+1} sum_{m>=1} m^n q^{mx} (1 - q^{m(p+1)}) / (1 - q^m),
 
-    summed in blocks of _M_BLOCK terms and truncated once past the term peak and below
+    summed in blocks of _M_BLOCK terms and truncated once past the term peak and at most
     1e-14 * |partial sum|.  An array x is summed row by row, one row per element, each
     block's m-factors shared by all rows; every element equals the float call at it, bit
     for bit.
@@ -114,9 +114,10 @@ def _m_terms(ms, mn, rise, fall, xlq):
 
 
 def _settled(m_last, peak, last, total):
-    """The stop rule after a block: past the term peak, and its last term below
-    _REL_TOL * |partial sum|; elementwise for rows."""
-    return (m_last > peak) & (last < _REL_TOL * abs(total))
+    """The stop rule after a block: past the term peak, and its last term at most
+    _REL_TOL * |partial sum|, which a block whose terms underflow to 0 also meets;
+    elementwise for rows."""
+    return (m_last > peak) & (last <= _REL_TOL * abs(total))
 
 
 def _m_truncation(x, params, n):
@@ -153,14 +154,16 @@ def _psi_pq_deriv_rows(xs, params, n):
 
 
 def psi_p(x, p):
-    """psi_p(x) = ln p - sum_{k=0}^{p} 1/(x+k), in chunks of _CHUNK terms to bound memory."""
+    """psi_p(x) = ln p - sum_{k=0}^{p} 1/(x+k) in O(1): the terms k < _SHIFT are summed with
+    fsum, and the rest is psi(x+p+1) - psi(x+_SHIFT) (DLMF 5.5.2), both by psi_classical at
+    arguments >= _SHIFT, where it takes its asymptotic series at once."""
     _check_x(x)
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError(f"p must be a positive integer, got {p!r}")
-    total = 0.0
-    for k0 in range(0, p + 1, _CHUNK):
-        total += _chunk_sum(lambda k: 1.0 / (x + k), k0, min(_CHUNK, p + 1 - k0))[0]
-    return math.log(p) - total
+    head = math.fsum(1.0 / (x + k) for k in range(min(p + 1, _SHIFT)))
+    if p < _SHIFT:
+        return math.log(p) - head
+    return math.log(p) - psi_classical(x + p + 1) + psi_classical(x + _SHIFT) - head
 
 
 @functools.lru_cache(maxsize=16)
@@ -205,10 +208,8 @@ def psi_q_deriv(x, q, order):
     (q>1).  Li_{-n}(z)/z is nondecreasing, so with r = q or q^{-x} the tail after the last
     summed term t is at most t r/(1-r); each sum stops once that is <= 1e-14 * sum.
     """
-    n = int(order)
     _check_x(x)
-    if n < 1:
-        raise DomainError(f"derivative order must be >= 1, got {n!r}")
+    n = _check_order(order)
     _check_q(q)
     lq = math.log(q)
     if q < 1.0:
@@ -220,7 +221,8 @@ def psi_q_deriv(x, q, order):
 
 
 def psi_classical(x):
-    """Classical digamma by recurrence into the asymptotic region (x >= 10); oracle role."""
+    """Classical digamma by recurrence into the asymptotic region (x >= _SHIFT); psi_p
+    takes its tail from it."""
     _check_x(x)
     acc = []
     z = x

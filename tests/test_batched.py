@@ -8,6 +8,7 @@ results of the sequential loops kept here as references.
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +170,22 @@ class TestStencilFunctionArrays:
         assert same_bits(got.ravel(), [psi_pq_deriv(x, params, 2) for x in xs.ravel().tolist()])
         assert psi_pq_deriv(np.array(1.5), params, 2).shape == ()
         assert psi_pq_deriv(np.array([]), params, 2).shape == (0,)
+
+    @pytest.mark.parametrize("x, q", [(1100.0, 0.5), (700.0, 0.3), (238.5, 0.05)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_psi_pq_deriv_stops_once_its_terms_underflow(self, x, q, n):
+        # q^x underflows to 0, or 1e-14 of it does: the sum stops after one block
+        params = PQParams(3, q)
+        got = psi_pq_deriv(x, params, n)
+        # the term m = 1, (ln q)^{n+1} q^x (1 - q^{p+1})/(1 - q); m = 2 underflows
+        lead = mpmath.log(q) ** (n + 1) * mpmath.mpf(q) ** x * (1 - mpmath.mpf(q) ** 4) / (1 - q)
+        assert got == pytest.approx(float(lead), rel=1e-12, abs=0.0)
+        assert math.copysign(1.0, got) == (-1.0) ** (n + 1)  # the sign of psi_pq^(n), also at 0
+        xs = np.array([x, 1.5, 2 * x, 0.7])
+        assert same_bits(psi_pq_deriv(xs, params, n),
+                         [psi_pq_deriv(v, params, n) for v in xs.tolist()])
+        assert same_bits(psi_pq_deriv(xs[[0, 2]], params, n),
+                         [got, psi_pq_deriv(2 * x, params, n)])
 
     def test_psi_pq_deriv_names_the_first_truncated_element(self):
         # at q = 0.999, x = 0.01 and 0.005 need over 10^6 terms; x = 1 and 3 need ~4e4
@@ -346,6 +363,21 @@ class TestDifferenceCampaignReference:
         assert len(calls) == 3 and max(calls) <= _BLOCK * len(_STEPS) * (_MAX_ORDER + 1)
         assert report == difference_campaign_loop(log_of(f) if min_order else f, grid, 1e3,
                                                   min_order)
+
+    @pytest.mark.parametrize("case", ["cm-psi-prime", "cm-rational", "cm-increasing",
+                                      "cm-constant", "lcm-rational", "lcm-h"])
+    @pytest.mark.parametrize("tol_scale", [0.0, 1e3])
+    def test_one_block_with_every_order_count(self, case, tol_scale):
+        # at h = 1e-2 the points of [0.5, 0.57] have 6 orders down to 0; at the larger steps
+        # every cell has order 0 only, which check_lcm does not test
+        check, f, min_order = STENCIL_CASES[case]
+        grid = GridSpec(0.5, 0.57, 71)
+        counts = [min(_MAX_ORDER, int((grid.hi - x) / h + 1e-12))
+                  for x in grid.xs() for h in _STEPS]
+        assert set(counts) == set(range(_MAX_ORDER + 1)) and len(grid.xs()) <= _BLOCK
+        report = check(f, grid, tol_scale)
+        assert report == difference_campaign_loop(log_of(f) if min_order else f, grid,
+                                                  tol_scale, min_order)
 
     @pytest.mark.parametrize("block", [1, 5])
     @pytest.mark.parametrize("case", sorted(STENCIL_CASES))

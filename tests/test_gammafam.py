@@ -77,9 +77,23 @@ class TestLogGammaPQ:
             log_gamma_pq(-1.0, PQParams(2, 0.5))
 
 
+def ref_log_gamma_p(x, p):
+    """ln(p! p^x / (x (x+1) ... (x+p))) from mpmath's log-gamma at 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return float(x * mpmath.log(p) + mpmath.loggamma(p + 1) + mpmath.loggamma(x)
+                     - mpmath.loggamma(x + p + 1))
+
+
 class TestLogGammaP:
     def test_hand_value(self):
         assert log_gamma_p(1.0, 1) == pytest.approx(math.log(0.5), rel=1e-14)
+
+    @pytest.mark.parametrize("p", (1, 9, 10, 11, 1000, 10**5, 10**6))
+    @pytest.mark.parametrize("x", (1e-3, 0.05, 0.7, 1.5, 3.7, 30.0))
+    def test_against_mpmath(self, x, p):
+        ref = ref_log_gamma_p(x, p)
+        assert abs(log_gamma_p(x, p) - ref) <= 1e-14 * max(1.0, abs(ref))
 
     def test_limit_at_one(self):
         assert abs(log_gamma_p(1.0, 10**5)) < 1e-4

@@ -152,12 +152,13 @@ def test_q_functions_over_split_chunks_match_the_loop(x, q, n, monkeypatch):
     assert got == (log_gamma_q(x, q), psi_q(x, q), psi_q_deriv(x, q, n))
 
 
-def test_psi_p_over_split_chunks_matches_one_call_per_chunk():
+def test_psi_p_at_a_p_of_several_chunks_matches_mpmath():
+    # p spans several 2^14-term chunks of the q-series kernel, which psi_p does not use
     x, p = 1.7, 3 * (1 << 14) + 9000
-    total = 0.0
-    for k0 in range(0, p + 1, 1 << 14):
-        total += float((1.0 / (x + np.arange(k0, min(k0 + (1 << 14), p + 1), dtype=float))).sum())
-    assert psifam.psi_p(x, p) == math.log(p) - total
+    with mpmath.workdps(40):
+        ref = float(mpmath.log(p) - mpmath.digamma(mpmath.mpf(x) + p + 1)
+                    + mpmath.digamma(mpmath.mpf(x)))
+    assert abs(psifam.psi_p(x, p) - ref) <= 5e-15 * max(1.0, abs(ref))
 
 
 def spy_kernel(monkeypatch, module):
