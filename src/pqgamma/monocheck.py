@@ -199,7 +199,7 @@ def check_lcm(f, grid: GridSpec, tol_scale=1e3):
     """Logarithmic complete monotonicity: the difference test on ln f, orders 1.._MAX_ORDER.
 
     f takes a 1-D float array of abscissae and returns the array of its values, which
-    must be positive; ln is math.log elementwise."""
+    must be positive; ln f is np.log of that array."""
 
     def g(xs):
         vs = np.asarray(f(xs), dtype=float)
@@ -208,7 +208,7 @@ def check_lcm(f, grid: GridSpec, tol_scale=1e3):
             i = bad[0]
             raise DomainError(f"f({float(xs[i])}) = {float(vs[i])} is not positive; "
                               "ln f undefined")
-        return np.fromiter(map(math.log, vs), float, vs.size)
+        return np.log(vs)
 
     return _difference_campaign(g, grid, tol_scale, min_order=1)
 

@@ -88,11 +88,14 @@ def _positive_array(x):
 
 
 def _exp(w):
-    """math.exp of a float, or elementwise of an array: numpy's exp can differ from it in the
-    last ulp, and every array result must equal the float calls bit for bit."""
-    if isinstance(w, float):
-        return math.exp(w)
-    out = np.fromiter(map(math.exp, w.flat), float, w.size).reshape(w.shape)
+    """np.exp of a float or an array, as a float for a 0-d result: a float and an array
+    element take the same numpy path.  An exponent whose value overflows raises
+    OverflowError, as math.exp does, not a RuntimeWarning and inf."""
+    try:
+        with np.errstate(over="raise"):
+            out = np.exp(w)
+    except FloatingPointError:
+        raise OverflowError("math range error") from None
     return float(out) if out.ndim == 0 else out
 
 

@@ -45,7 +45,7 @@ from pqgamma.paperfuncs import (
     sample_affine_specs,
 )
 from pqgamma.psifam import _M_ROWS, psi_pq, psi_pq_deriv
-from pqgamma.qcore import _SLICE, DomainError, PQParams, TruncationError, _exp, q_bracket
+from pqgamma.qcore import _SLICE, DomainError, PQParams, TruncationError, _exp
 
 P_VALUES = st.sampled_from([1, 3, 1000])
 Q_VALUES = st.floats(0.05, 1.0 - 1e-8)
@@ -254,6 +254,62 @@ class TestStencilFunctionArrays:
             log_G_pq(np.array([0.5, -0.25, 0.0]), RatioSpec((1, 2), (1.5, 2.5)), PQParams(3, 0.5))
 
 
+# x -> value at PQParams for each array-valued function; the x of LAYOUT_XS lie in every
+# domain, and h_beta's include its beta = 0.5 and a point inside its 1e-6 radius
+LAYOUT_FUNCTIONS = {
+    "log_gamma_pq": log_gamma_pq,
+    "psi_pq": psi_pq,
+    "log_G_pq": lambda x, params: log_G_pq(x, RatioSpec((0.5, 1, 3), (1, 1.5, 3)), params),
+    "f32-as-defined": lambda x, params: f_theorem32(x, params, "as_defined"),
+    "f32-as-proved": lambda x, params: f_theorem32(x, params, "as_proved"),
+    "h_beta": lambda x, params: h_beta(x, TwoPointSpec(2.0, 1.0, 0.5), params),
+    "f1": lambda x, params: f1(x, AffineInequalitySpec(0.5, 1.0, 1.2, 1.0, 1.5, 1.0), params),
+}
+LAYOUT_XS = np.concatenate([[0.5, 0.5 + 4e-7], np.geomspace(0.05, 9.0, 22)])
+
+
+class TestArrayLayouts:
+    """numpy may take other loops for a strided, a transposed or a 0-d array than for a
+    contiguous one; each element must still equal the float call, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_FUNCTIONS))
+    @pytest.mark.parametrize("p", [3, 40, 1000])
+    def test_strided_transposed_and_0d_arrays(self, name, p):
+        fn = LAYOUT_FUNCTIONS[name]
+        params = PQParams(p, 0.7)
+        strided = LAYOUT_XS[::2]
+        transposed = LAYOUT_XS.reshape(4, 6).T
+        assert not strided.flags.c_contiguous and not transposed.flags.c_contiguous
+        assert same_bits(fn(strided, params), [fn(x, params) for x in strided.tolist()])
+        got = fn(transposed, params)
+        assert got.shape == (6, 4)
+        assert same_bits(got.ravel(), [fn(x, params) for x in transposed.ravel().tolist()])
+        for x in LAYOUT_XS[:4].tolist():
+            assert same_bits([fn(x, params)], [fn(np.array(x), params)])
+
+
+# (function, x whose exponent passes ln(DBL_MAX) ~ 709.78, x with a finite value): f1 at
+# u = 1e-300 with c = 1000, as_proved at x -> 0+, and h_beta with beta + t = 1e-300 on its
+# difference-quotient branch
+OVERFLOWING = {
+    "f1": (lambda x: f1(x, AffineInequalitySpec(1e-300, 1, 1000, 1, 1, 1), PQParams(3, 0.5)),
+           0.0, 0.5),
+    "f32-as-proved": (lambda x: f_theorem32(x, PQParams(3, 0.5), "as_proved"), 1e-5, 0.5),
+    "h_beta": (lambda x: h_beta(x, TwoPointSpec(1.0, 0.0, 1e-300), PQParams(3, 0.5)), 1e-5,
+               5.0),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_an_overflowing_exponent_raises_overflow_error(name):
+    fn, x, fine = OVERFLOWING[name]
+    assert math.isfinite(fn(fine))
+    for arg in (x, np.array(x), np.array([fine, x]), np.array([[x, fine], [fine, fine]]).T):
+        with pytest.raises(OverflowError):
+            fn(arg)
+
+
 def difference_campaign_loop(f, grid, tol_scale, min_order):
     """The sequential difference campaign, one scalar call of f per abscissa in (x, h, j)
     order and a strict < over (x, h, n): the reference for monocheck._difference_campaign."""
@@ -281,8 +337,8 @@ def difference_campaign_loop(f, grid, tol_scale, min_order):
 
 
 def log_of(f):
-    """ln f at a float, as check_lcm takes it."""
-    return lambda x: math.log(f(x))
+    """ln f at a float, as check_lcm takes it: by np.log."""
+    return lambda x: float(np.log(f(x)))
 
 
 P_STENCIL = PQParams(4, 0.49)
@@ -428,23 +484,31 @@ class TestUniforms:
 
 
 def young_bracket_loop(grid):
-    """The sequential Lemma 2.1 loop: (verdict, min_slack, witness) over the same draws."""
+    """The sequential Lemma 2.1 loop: (verdict, min_slack, witness) over the same draws,
+    every slack from one numpy evaluation of q_bracket's formula, the first smallest kept."""
     rng = _LCG(grid.seed)
     span = grid.hi - grid.lo
-    best_slack = math.inf
-    witness = (0.0, 0.0, 0.0)
+    draws = []
     for _ in range(grid.points**2):
         x = grid.lo + span * rng.uniform()
         y = grid.lo + span * rng.uniform()
         alpha = rng.uniform()
-        q = 0.05 + 0.9 * rng.uniform()
-        beta = 1.0 - alpha
-        lhs = q_bracket(1.0 + x, q) ** alpha * q_bracket(1.0 + y, q) ** beta
-        rhs = q_bracket(1.0 + alpha * x + beta * y, q)
-        slack = rhs - lhs
+        draws.append((x, y, alpha, 0.05 + 0.9 * rng.uniform()))
+    x, y, alpha, q = np.array(draws).T
+    lq = np.log(q)
+    beta = 1.0 - alpha
+
+    def bracket(n):
+        return np.expm1(n * lq) / np.expm1(lq)
+
+    lhs = bracket(1.0 + x) ** alpha * bracket(1.0 + y) ** beta
+    slacks = bracket(1.0 + alpha * x + beta * y) - lhs
+    best_slack = math.inf
+    witness = (0.0, 0.0, 0.0)
+    for draw, slack in zip(draws, slacks.tolist()):
         if slack < best_slack:
             best_slack = slack
-            witness = (x, y, alpha)
+            witness = draw[:3]
     return ("pass" if best_slack >= -1e-14 else "fail"), best_slack, witness
 
 
@@ -460,6 +524,16 @@ class TestYoungBracketReference:
         assert report.witness == witness
         assert report.min_slack == slack
         assert report.evaluations == 2 * points**2
+
+    def test_ties_keep_the_first_draw(self):
+        # [1 + x]_q = 1 for every x in [0, 1e-300], so each of the 40^2 draws, over two
+        # chunks, has slack 0
+        grid = GridSpec(0.0, 1e-300, points=40, seed=7)
+        report = check_young_bracket(grid)
+        assert report.min_slack == 0.0 and grid.points**2 > _YOUNG_CHUNK
+        assert (report.verdict, report.min_slack, report.witness) == young_bracket_loop(grid)
+        rng = _LCG(7)
+        assert report.witness == (1e-300 * rng.uniform(), 1e-300 * rng.uniform(), rng.uniform())
 
     def test_draw_outside_the_bracket_domain_raises(self):
         with pytest.raises(DomainError):

@@ -90,6 +90,7 @@ class TestEval:
         assert code == 0, err
         assert float(parse_csv(out)[0]["output"]) == value(x, q)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ("--fn", "f1", "--x", "0", "--p", "3", "--q", "0.5", "--abc", "1e-300,1,1000,1,1,1"),
         ("--fn", "gamma", "--x", "200"),
