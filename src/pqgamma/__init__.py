@@ -4,7 +4,6 @@ from .qcore import (
     DomainError,
     PQParams,
     TruncationError,
-    log_q_factorial,
     log_q_pochhammer_inf,
     q_bracket,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "log_gamma_p",
     "log_gamma_pq",
     "log_gamma_q",
-    "log_q_factorial",
     "log_q_pochhammer_inf",
     "phi",
     "psi_classical",

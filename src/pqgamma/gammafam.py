@@ -11,29 +11,28 @@ import math
 
 import numpy as np
 
-from .qcore import (
-    DomainError,
-    PQParams,
-    _check_q,
-    _check_x,
-    _geometric_series,
-    _pq_constants,
-    _positive_array,
-    _row_sums,
-    log_q_bracket,
-)
+from .qcore import DomainError, PQParams, _check_q, _check_x, _geometric_series
+from .qcore import _pq_constants, _positive_array, _row_sums
 
 
 def log_gamma_pq(x, params: PQParams):
-    """ln Gamma_{p,q}(x) = x ln[p]_q + ln [p]_q! - sum_{k=0}^{p} ln [x+k]_q.
+    """ln Gamma_{p,q}(x) = x ln[p]_q - ln[x]_q - sum_{k=1}^{p} log1p(w_k s), s = 1 - q^x and
+    w_k = q^k/(1 - q^k): [k]_q of [p]_q! paired with [x+k]_q, [x+k]_q/[k]_q = 1 + w_k s, so
+    that no O(p ln(1/(1-q))) log-sums cancel, as in log_gamma_p.
 
     x may be a float or an array; each element of an array result equals the
     float call at that element, bit for bit."""
     xs = _positive_array(x)
     p, q = params.p, params.q
-    lbp, lfac, ks = _pq_constants(p, q)
-    out = xs * lbp + lfac - _row_sums(log_q_bracket, xs, ks, q)
+    lbp, _, ws = _pq_constants(p, q)
+    s = -np.expm1(xs * math.log(q))
+    out = xs * lbp - (np.log(s) - math.log1p(-q)) - _row_sums(_paired_logs, s, ws, None)
     return float(out) if out.ndim == 0 else out
+
+
+def _paired_logs(s, ws, _):
+    """ln([x+k]_q/[k]_q) = log1p(w_k s) for k = 1..p."""
+    return np.log1p(s * ws)
 
 
 def log_gamma_p(x, p):

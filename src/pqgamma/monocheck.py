@@ -11,6 +11,8 @@ _BLOCK grid points in one call and build the tables with numpy; their result is
 that of the sequential loop over grid points, steps and orders.
 check_log_convex and check_decreasing call f at one float at a time;
 check_log_convex draws its uniforms with _LCG.uniforms, in one call up to 64 points.
+A value of f that is not finite raises DomainError naming its abscissa: a NaN fails every
+comparison and an inf makes the tolerance inf, so either would pass any check.
 """
 
 from __future__ import annotations
@@ -171,17 +173,22 @@ def _difference_block(f, xs, hi, tol_scale, min_order):
     values = np.full(used.shape, math.nan)
     if used.any():
         values[used] = f((x0[..., None] + js * steps[:, None])[used])
+        bad = np.argwhere(used & ~np.isfinite(values))  # in (x, h, j) order
+        if bad.size:
+            i, h, j = bad[0]
+            z, v = float(x0[i, 0] + j * steps[h]), float(values[i, h, j])
+            raise DomainError(f"f({z!r}) = {v!r} is not finite")
     rows = [values]
     while rows[-1].shape[-1] > 1:
         rows.append(np.diff(rows[-1], axis=-1))
-    # max(abs(v) for row in rows for v in row), which skips a NaN unless it comes first
-    first = np.abs(values[..., 0])
+    # max(abs(v) for row in rows for v in row) over the cell's own table; fmax skips the NaN
+    # padding, and a cell that evaluates nothing gets 1
     mag = np.fmax.reduce(np.abs(np.concatenate(rows, axis=-1)), axis=-1)
-    tols = tol_scale * _EPS * np.fmax(1.0, np.where(np.isnan(first), first, mag))
+    tols = tol_scale * _EPS * np.fmax(1.0, mag)
     slack = (-1.0) ** js * np.stack([r[..., 0] for r in rows], axis=-1)  # (-1)^n Delta^n f(x)
     margins = slack + tols[..., None]  # NaN past the cell's orders
     margins[..., :min_order] = math.inf
-    margins[np.isnan(margins)] = math.inf  # an untested order or a NaN margin is never best
+    margins[np.isnan(margins)] = math.inf  # an untested order is never best
     k = int(np.argmin(margins))  # the first smallest in (x, h, n) order
     i, h, n = np.unravel_index(k, margins.shape)
     found = (float(slack.flat[k]), (xs[i], int(n), _STEPS[h]), float(tols[i, h]))
@@ -226,6 +233,7 @@ def check_log_convex(f, grid: GridSpec, tol_scale=1e3):
     count = grid.points**2
     span = grid.hi - grid.lo
     rng = _LCG(grid.seed)
+    inf = math.inf
     # floats taken one at a time: a list of all of them costs 0.35 MB of peak RSS at 64 points
     draws = itertools.chain.from_iterable(
         map(float, rng.uniforms(min(_DRAWS, 3 * count - done)))
@@ -234,9 +242,11 @@ def check_log_convex(f, grid: GridSpec, tol_scale=1e3):
         x = grid.lo + span * ux
         y = grid.lo + span * uy
         beta = 1.0 - alpha
-        lx, ly, lm = f(x), f(y), f(alpha * x + beta * y)
-        if lx <= 0.0 or ly <= 0.0 or lm <= 0.0:
-            raise DomainError("log-convexity test needs a positive function")
+        m = alpha * x + beta * y
+        lx, ly, lm = f(x), f(y), f(m)
+        if not (0.0 < lx < inf and 0.0 < ly < inf and 0.0 < lm < inf):
+            z, v = next(zv for zv in ((x, lx), (y, ly), (m, lm)) if not 0.0 < zv[1] < inf)
+            raise DomainError(f"f({z!r}) = {v!r} is not positive and finite")
         lhs = math.log(lm)
         rhs = alpha * math.log(lx) + beta * math.log(ly)
         slack = rhs - lhs
@@ -254,6 +264,9 @@ def check_decreasing(f, grid: GridSpec, tol_scale=1e3):
     _check_tol_scale(tol_scale)
     xs = grid.xs()
     vals = [f(x) for x in xs]
+    for x, v in zip(xs, vals):
+        if not math.isfinite(v):
+            raise DomainError(f"f({float(x)!r}) = {float(v)!r} is not finite")
     tol = tol_scale * _EPS * max(1.0, max(abs(v) for v in vals))
     best_margin = math.inf
     best = (0.0, (xs[0], 1, 0.0), tol)

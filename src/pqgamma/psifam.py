@@ -43,15 +43,15 @@ def psi_pq(x, params: PQParams):
     float call at that element, bit for bit."""
     xs = _positive_array(x)
     p, q = params.p, params.q
-    lbp, _, ks = _pq_constants(p, q)
+    lbp, ks, _ = _pq_constants(p, q)
     lq = math.log(q)
     out = lbp - lq * _row_sums(_psi_terms, xs, ks, lq)
     return float(out) if out.ndim == 0 else out
 
 
-def _psi_terms(z, lq):
-    """-q^z/(1-q^z) = e^y / expm1(y) at y = z ln q; expm1 keeps digits as q -> 1."""
-    ys = z * lq
+def _psi_terms(x, ks, lq):
+    """-q^z/(1-q^z) = e^y / expm1(y) at y = z ln q, z = x + k; expm1 keeps digits."""
+    ys = (x + ks) * lq
     return np.exp(ys) / np.expm1(ys)
 
 

@@ -312,7 +312,8 @@ def test_an_overflowing_exponent_raises_overflow_error(name):
 
 def difference_campaign_loop(f, grid, tol_scale, min_order):
     """The sequential difference campaign, one scalar call of f per abscissa in (x, h, j)
-    order and a strict < over (x, h, n): the reference for monocheck._difference_campaign."""
+    order and a strict < over (x, h, n): the reference for monocheck._difference_campaign.
+    The first value that is not finite, in that order, raises DomainError."""
     best_margin = math.inf
     best = (0.0, (grid.lo, 0, _STEPS[0]), 0.0)
     evaluations = 0
@@ -322,6 +323,9 @@ def difference_campaign_loop(f, grid, tol_scale, min_order):
             if n_avail < min_order:
                 continue
             vals = [f(x + j * h) for j in range(n_avail + 1)]
+            for j, v in enumerate(vals):
+                if not math.isfinite(v):
+                    raise DomainError(f"f({x + j * h!r}) = {float(v)!r} is not finite")
             evaluations += n_avail + 1
             rows = difference_table(vals)
             table_mag = max(abs(v) for row in rows for v in row)
@@ -336,6 +340,14 @@ def difference_campaign_loop(f, grid, tol_scale, min_order):
     return MonotonicityReport(verdict, best[0], best[1], best[2], evaluations, grid.seed)
 
 
+def outcome(run, *args):
+    """run(*args), or the message of the DomainError it raises."""
+    try:
+        return run(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
 def log_of(f):
     """ln f at a float, as check_lcm takes it: by np.log."""
     return lambda x: float(np.log(f(x)))
@@ -345,7 +357,7 @@ P_STENCIL = PQParams(4, 0.49)
 G_SPEC = RatioSpec((1, 2), (1.5, 2.5))
 H_SPEC = TwoPointSpec(2.0, 1.0, 0.5)
 # (check, f at a float or an array, min_order); the f32 statement fails lcm, a NaN at x > 3
-# is skipped by the loop, and a constant makes every margin a tie
+# is a DomainError naming its abscissa, and a constant makes every margin a tie
 STENCIL_CASES = {
     "cm-psi-prime": (check_cm, lambda x: psi_pq_deriv(x, P_STENCIL, 1), 0),
     "cm-psi-prime-negated": (check_cm, lambda x: -psi_pq_deriv(x, P_STENCIL, 1), 0),
@@ -370,9 +382,11 @@ class TestDifferenceCampaignReference:
     @settings(max_examples=25, deadline=None)
     def test_matches_sequential_loop(self, case, grid, tol_scale):
         check, f, min_order = STENCIL_CASES[case]
-        report = check(f, grid, tol_scale)
+        report = outcome(check, f, grid, tol_scale)
         scalar = log_of(f) if min_order else f
-        assert report == difference_campaign_loop(scalar, grid, tol_scale, min_order)
+        assert report == outcome(difference_campaign_loop, scalar, grid, tol_scale, min_order)
+        if isinstance(report, str):
+            return
         assert type(report.min_slack) is float and type(report.tolerance_used) is float
         assert type(report.evaluations) is int
         assert [type(w) for w in report.witness] == [float, int, float]
@@ -415,10 +429,12 @@ class TestDifferenceCampaignReference:
             return f(x)
 
         grid = GridSpec(0.6, 40.0, 2 * _BLOCK + 5)  # the last block has full stencils too
-        report = check(counted, grid)
-        assert len(calls) == 3 and max(calls) <= _BLOCK * len(_STEPS) * (_MAX_ORDER + 1)
-        assert report == difference_campaign_loop(log_of(f) if min_order else f, grid, 1e3,
-                                                  min_order)
+        report = outcome(check, counted, grid)
+        # a DomainError stops the campaign at the block that raised it, here the first
+        assert len(calls) == (1 if isinstance(report, str) else 3)
+        assert max(calls) <= _BLOCK * len(_STEPS) * (_MAX_ORDER + 1)
+        assert report == outcome(difference_campaign_loop, log_of(f) if min_order else f, grid,
+                                 1e3, min_order)
 
     @pytest.mark.parametrize("case", ["cm-psi-prime", "cm-rational", "cm-increasing",
                                       "cm-constant", "lcm-rational", "lcm-h"])
@@ -444,8 +460,8 @@ class TestDifferenceCampaignReference:
         scalar = log_of(f) if min_order else f
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(monocheck, "_BLOCK", block)
-            report = check(f, grid, tol_scale)
-        assert report == difference_campaign_loop(scalar, grid, tol_scale, min_order)
+            report = outcome(check, f, grid, tol_scale)
+        assert report == outcome(difference_campaign_loop, scalar, grid, tol_scale, min_order)
 
     @pytest.mark.parametrize("hi", [1e17, 1e19])
     def test_order_counts_beyond_int64(self, hi):

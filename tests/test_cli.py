@@ -5,6 +5,7 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from pqgamma import cli
@@ -558,6 +559,22 @@ def test_tables_call_the_module_globals_when_they_run(capsys, monkeypatch, argv,
     code, _, err = run(capsys, *argv, *points)
     assert code in (0, 1), err
     assert calls
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("campaign, name", [
+    ("logconvex-gamma", "log_gamma_pq"),
+    ("cm-psi-prime", "psi_pq_deriv"),
+    ("cm-G", "log_G_pq"),
+    ("lcm-f32", "f_theorem32"),
+    ("lcm-h", "h_beta"),
+])
+def test_a_non_finite_campaign_value_exits_2(capsys, monkeypatch, campaign, name, value):
+    monkeypatch.setattr(cli, name, lambda x, *rest: np.full(np.shape(x), value)[()])
+    code, out, err = run(capsys, *BASE_ARGV["verify"](campaign), "--points", "4")
+    assert code == 2
+    assert out == ""
+    assert f") = {value}" in err
 
 
 def _readme_defaults():

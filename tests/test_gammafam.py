@@ -14,9 +14,10 @@ from pqgamma.qcore import DomainError, PQParams, q_bracket
 
 
 def brute_log_gamma_pq(x, p, q, dps=50):
-    """Direct product evaluation of the defining formula in extended precision."""
+    """Direct product evaluation of the defining formula in extended precision.  x is taken
+    as an mpf, so that no shift x + k is rounded to a double."""
     with mpmath.workdps(dps):
-        qm = mpmath.mpf(q)
+        qm, x = mpmath.mpf(q), mpmath.mpf(x)
 
         def br(n):
             return (1 - qm**n) / (1 - qm)
@@ -45,6 +46,19 @@ class TestLogGammaPQ:
         assert log_gamma_pq(2.5, PQParams(5, 0.7)) == pytest.approx(
             brute_log_gamma_pq(2.5, 5, 0.7), rel=1e-13
         )
+
+    @pytest.mark.parametrize("p, q, xs", [
+        *((p, q, (0.05, 0.7, 3.3, 9.0)) for p in (1, 4, 50, 1000)
+          for q in (0.1, 0.5, 0.9, 0.99, 0.999)),
+        (10**4, 0.999, (3.3,)),
+        (10**4, 0.9, (0.05,)),
+    ])
+    def test_within_1e14_of_the_oracle_up_to_large_p_and_q_near_one(self, p, q, xs):
+        # the sums of ln[k]_q and ln[x+k]_q each grow like p ln(1/(1-q)); added unpaired
+        # they cancel to 9.1e-12 at (3.3, 10^4, 0.999)
+        for x in xs:
+            ref = brute_log_gamma_pq(x, p, q)
+            assert abs(log_gamma_pq(x, PQParams(p, q)) - ref) <= 1e-14 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("p,q", [(2, 0.3), (7, 0.6), (20, 0.9)])
     def test_recurrence(self, p, q):
@@ -163,9 +177,9 @@ class TestDiagramEdges:
         x, q = 1.7, 0.9
         target = log_gamma_q(x, q)
         gaps = [abs(log_gamma_pq(x, PQParams(p, q)) - target) for p in (10, 100, 1000, 10000)]
-        # 1e-10 absorbs the rounding plateau of the p-term log-sums
-        assert all(b <= a + 1e-10 for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] < 1e-10
+        # the true gaps at p >= 1000 are below 1e-45, so what is left there is rounding
+        assert all(b <= a + 1e-14 for a, b in zip(gaps, gaps[1:]))
+        assert max(gaps[2:]) <= 1e-14
 
     def test_pq_to_p_gap_small_near_q_one(self):
         for p in (3, 30, 100):

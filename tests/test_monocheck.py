@@ -188,6 +188,31 @@ class TestCheckDecreasing:
         assert check_decreasing(lambda x: x * x, GridSpec(1.0, 2.0)).verdict == "fail"
 
 
+NON_FINITE_GRID = GridSpec(0.5, 6.0, points=8)
+# each check with an f that gives v everywhere
+NON_FINITE_CHECKS = {
+    "check_cm": lambda v: check_cm(lambda x: np.full(x.shape, v), NON_FINITE_GRID),
+    "check_lcm": lambda v: check_lcm(lambda x: np.full(x.shape, v), NON_FINITE_GRID),
+    "check_log_convex": lambda v: check_log_convex(lambda x: v, NON_FINITE_GRID),
+    "check_decreasing": lambda v: check_decreasing(lambda x: v, NON_FINITE_GRID),
+}
+
+
+class TestNonFiniteValues:
+    # a NaN fails every comparison and an inf makes the tolerance inf, so a check that took
+    # either as a value would pass
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("check", sorted(NON_FINITE_CHECKS))
+    def test_raises_domain_error_naming_the_abscissa(self, check, value):
+        with pytest.raises(DomainError, match=rf"^f\(\d[\d.]*\) = {value}"):
+            NON_FINITE_CHECKS[check](value)
+
+    def test_a_nan_among_finite_values_is_not_skipped(self):
+        # the first abscissa above 3 in (x, h, j) order is 0.5 + 6 * 0.5
+        with pytest.raises(DomainError, match=r"^f\(3\.5\) = nan is not finite$"):
+            check_cm(lambda x: np.where(x > 3.0, np.nan, 1.0 / x), NON_FINITE_GRID)
+
+
 # every campaign of the package, as tol_scale -> report (the sec4 result dict has a tolerance)
 SMALL_GRID = GridSpec(0.5, 2.0, points=4)
 TOL_SCALE_CAMPAIGNS = {

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from pqgamma.qcore import (
     DomainError,
     PQParams,
-    log_q_factorial,
     log_q_pochhammer_inf,
     q_bracket,
 )
@@ -47,27 +46,6 @@ class TestQBracket:
                     assert a < b
                 else:
                     assert a <= b
-
-
-class TestLogQFactorial:
-    def test_p1_is_zero(self):
-        assert log_q_factorial(1, 0.5) == 0.0
-
-    def test_hand_products(self):
-        assert log_q_factorial(3, 0.5) == pytest.approx(math.log(2.625), rel=1e-14)
-        assert log_q_factorial(2, 0.9) == pytest.approx(math.log(1.9), rel=1e-14)
-
-    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
-    def test_matches_bracket_product(self, q):
-        for p in (1, 2, 7, 23, 50):
-            prod = 1.0
-            for k in range(1, p + 1):
-                prod *= q_bracket(k, q)
-            assert math.exp(log_q_factorial(p, q)) == pytest.approx(prod, rel=1e-13)
-
-    def test_rejects_bad_p(self):
-        with pytest.raises(DomainError):
-            log_q_factorial(0, 0.5)
 
 
 class TestLogQPochhammer:
