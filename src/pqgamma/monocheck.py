@@ -7,17 +7,17 @@ double precision.  Tolerances scale with the largest table magnitude to
 absorb cancellation.
 
 check_cm and check_lcm pass f the 1-D array of the stencil abscissae of up to
-_BLOCK grid points in one call and build the tables with numpy; their result is
-that of the sequential loop over grid points, steps and orders.
-check_log_convex and check_decreasing call f at one float at a time;
-check_log_convex draws its uniforms with _LCG.uniforms, in one call up to 64 points.
-A value of f that is not finite raises DomainError naming its abscissa: a NaN fails every
-comparison and an inf makes the tolerance inf, so either would pass any check.
+_BLOCK grid points in one call and build the tables with numpy.  check_log_convex and
+check_decreasing call f at one float at a time and score its values with numpy.
+Every check, and paperfuncs.check_young_bracket, ranks its cells with _lowest: the
+result is that of the sequential loop over the cells that keeps the first smallest
+margin.  A value of f that is not finite raises DomainError naming its abscissa
+(_check_values): a NaN fails every comparison and an inf makes the tolerance inf, so
+either would pass any check.  So does a difference table that overflows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,8 +29,9 @@ _EPS = 2.220446049250313e-16
 _STEPS = (1e-2, 1e-1, 0.5)  # stencil spacings h of the difference campaigns
 _MAX_ORDER = 6  # highest difference order of the difference campaigns
 _BLOCK = 1024  # grid points per call of f in the difference campaigns
-# uniforms per _LCG.uniforms call of check_log_convex: one call up to 64 points, and no
-# temporary over 96 KiB however many points**2 triples are drawn
+# uniforms per _LCG.uniforms call of the sampled checks, taken in whole draws (3 per
+# check_log_convex triple, 4 per check_young_bracket draw): no draw array over 96 KiB
+# however many points**2 draws are taken
 _DRAWS = 3 * 64**2
 
 
@@ -132,67 +133,87 @@ def _check_tol_scale(tol_scale):
         raise DomainError(f"tol_scale must be finite and >= 0, got {tol_scale!r}")
 
 
+def _check_values(zs, values, positive=False):
+    """DomainError naming the first abscissa of zs whose value is not finite, or with
+    positive (the log checks), not positive and finite."""
+    low = 0.0 if positive else -math.inf
+    bad = np.flatnonzero(~((values > low) & (values < math.inf)))
+    if bad.size:
+        i = bad[0]
+        need = "positive and finite" if positive else "finite"
+        raise DomainError(f"f({float(zs.flat[i])!r}) = {float(values.flat[i])!r} is not {need}")
+
+
+def _lowest(chunks, empty, seed):
+    """The report of a check from chunks of its cells in evaluation order, each chunk
+    (margins, slacks, tols, witness_of, evaluations): arrays over its cells (tols may be one
+    float) and witness_of(k), the witness of its cell k.  A chunk's first smallest margin
+    replaces the best only when strictly smaller, as in a loop over the cells that keeps
+    the first smallest by a strict <.  The verdict is pass when that margin is >= 0, and
+    with no cell the report holds empty = (slack, witness, tolerance)."""
+    best_margin, best, evaluations = math.inf, empty, 0
+    for margins, slacks, tols, witness_of, count in chunks:
+        evaluations += count
+        if margins.size:
+            k = int(np.argmin(margins))
+            if margins[k] < best_margin:
+                best_margin = margins[k]
+                best = (float(slacks[k]), witness_of(k), float(tols[k] if np.ndim(tols) else tols))
+    verdict = "pass" if best_margin >= 0.0 else "fail"
+    return MonotonicityReport(verdict, *best, evaluations, seed)
+
+
 def _difference_campaign(f, grid, tol_scale, min_order):
     """The difference test at every grid point x and step h of _STEPS, over the orders
-    min_order..n that x + n h <= hi allows (at most _MAX_ORDER).
-
-    The grid points are taken in blocks of _BLOCK, each evaluated in one call of f, and
-    the result is that of a loop over (x, h, n) keeping the first smallest margin
-    (-1)^n Delta_h^n f(x) + tol."""
+    min_order..n that x + n h <= hi allows (at most _MAX_ORDER).  The grid points are taken
+    in blocks of _BLOCK, each evaluated in one call of f."""
     _check_tol_scale(tol_scale)
     xs = grid.xs()
-    best_margin = math.inf
-    best = (0.0, (grid.lo, 0, _STEPS[0]), 0.0)
-    evaluations = 0
-    for b in range(0, len(xs), _BLOCK):
-        margin, found, count = _difference_block(f, xs[b:b + _BLOCK], grid.hi, tol_scale,
-                                                 min_order)
-        evaluations += count
-        if margin < best_margin:
-            best_margin, best = margin, found
-    verdict = "pass" if best_margin >= 0.0 else "fail"
-    return MonotonicityReport(verdict, best[0], best[1], best[2], evaluations, grid.seed)
+    blocks = (_difference_block(f, xs[b:b + _BLOCK], grid.hi, tol_scale, min_order)
+              for b in range(0, len(xs), _BLOCK))
+    return _lowest(blocks, (0.0, (grid.lo, 0, _STEPS[0]), 0.0), grid.seed)
 
 
 def _difference_block(f, xs, hi, tol_scale, min_order):
-    """(margin, (slack, witness, tol), evaluations) of the first smallest margin over the
-    grid points xs; the margin is inf when no order is tested.
-
-    Every abscissa x + j h is evaluated in one call of f, in the order (x, h, j).  Each
-    cell (x, h) with n orders gets the full table of _MAX_ORDER + 1 values by np.diff, the
-    subtraction of difference_table, its values past j = n padded with NaN.  Entry i of
-    row r reads the values i .. i + r, so the entries of the cell's own table, i + r <= n,
-    are those of its n-order table, and every other entry is NaN."""
+    """The _lowest chunk of the grid points xs, whose cells are the tested (x, h, n): n from
+    min_order to the order count of (x, h).  Every abscissa x + j h is evaluated in one
+    call of f, in (x, h, j) order.  Each (x, h) with n orders gets the full table of
+    _MAX_ORDER + 1 values by np.diff, its values past j = n padded with NaN: entry i of row
+    r reads the values i .. i + r, so the entries i + r <= n are its n-order table, and
+    np.fmax skips the NaN elsewhere in the magnitude.  The first (x, h) with a value that is
+    not finite, or with a tested order whose slack or tolerance is not finite (its table
+    overflows), raises DomainError, as a loop over the cells would."""
     x0 = np.array(xs)[:, None]
     steps = np.array(_STEPS)
     ratio = (hi - x0) / steps + 1e-12  # (x, h), finite as GridSpec checks
-    avail = np.minimum(_MAX_ORDER, ratio).astype(int)  # capped before the cast to int
-    avail[avail < min_order] = -1  # cells with too few orders evaluate nothing
-    js = np.arange(_MAX_ORDER + 1)
-    used = js <= avail[..., None]  # (x, h, j)
+    avail = np.minimum(_MAX_ORDER, ratio).astype(int)[..., None]  # capped before the cast
+    js = np.arange(_MAX_ORDER + 1)  # the offsets j of the values, and the orders n
+    used = (js <= avail) & (avail >= min_order)  # (x, h, j)
+    tested = used & (js >= min_order)  # (x, h, n)
+    zs = (x0[..., None] + js * steps[:, None])[used]
     values = np.full(used.shape, math.nan)
-    if used.any():
-        values[used] = f((x0[..., None] + js * steps[:, None])[used])
-        bad = np.argwhere(used & ~np.isfinite(values))  # in (x, h, j) order
-        if bad.size:
-            i, h, j = bad[0]
-            z, v = float(x0[i, 0] + j * steps[h]), float(values[i, h, j])
-            raise DomainError(f"f({z!r}) = {v!r} is not finite")
-    rows = [values]
-    while rows[-1].shape[-1] > 1:
-        rows.append(np.diff(rows[-1], axis=-1))
-    # max(abs(v) for row in rows for v in row) over the cell's own table; fmax skips the NaN
-    # padding, and a cell that evaluates nothing gets 1
-    mag = np.fmax.reduce(np.abs(np.concatenate(rows, axis=-1)), axis=-1)
-    tols = tol_scale * _EPS * np.fmax(1.0, mag)
-    slack = (-1.0) ** js * np.stack([r[..., 0] for r in rows], axis=-1)  # (-1)^n Delta^n f(x)
-    margins = slack + tols[..., None]  # NaN past the cell's orders
-    margins[..., :min_order] = math.inf
-    margins[np.isnan(margins)] = math.inf  # an untested order is never best
-    k = int(np.argmin(margins))  # the first smallest in (x, h, n) order
-    i, h, n = np.unravel_index(k, margins.shape)
-    found = (float(slack.flat[k]), (xs[i], int(n), _STEPS[h]), float(tols[i, h]))
-    return float(margins.flat[k]), found, int(used.sum())
+    if zs.size:
+        values[used] = f(zs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing table raises below
+        rows = [values]
+        while rows[-1].shape[-1] > 1:
+            rows.append(np.diff(rows[-1], axis=-1))
+        mag = np.fmax.reduce(np.abs(np.concatenate(rows, axis=-1)), axis=-1)
+        tols = tol_scale * _EPS * np.fmax(1.0, mag)  # 1 where the cell evaluates nothing
+        slack = (-1.0) ** js * np.stack([r[..., 0] for r in rows], axis=-1)  # (-1)^n Delta^n
+        broken = (used & ~np.isfinite(values)) | (
+            tested & ~(np.isfinite(slack) & np.isfinite(tols)[..., None]))
+        i, h, n = np.nonzero(tested)
+        slack, tol = slack[i, h, n], tols[i, h]
+        margins = slack + tol
+    bad = np.argwhere(broken.any(axis=-1))  # in (x, h) order
+    if bad.size:
+        b, s = bad[0]
+        cell = used[b, s]
+        _check_values(x0[b, 0] + js[cell] * steps[s], values[b, s, cell])
+        raise DomainError(f"the difference table of f overflows at x = {xs[b]!r}, "
+                          f"h = {_STEPS[s]!r}")
+    return margins, slack, tol, lambda k: (xs[i[k]], int(n[k]), _STEPS[h[k]]), zs.size
 
 
 def check_cm(f, grid: GridSpec, tol_scale=1e3):
@@ -209,72 +230,61 @@ def check_lcm(f, grid: GridSpec, tol_scale=1e3):
     must be positive; ln f is np.log of that array."""
 
     def g(xs):
-        vs = np.asarray(f(xs), dtype=float)
-        bad = np.flatnonzero(vs <= 0.0)
-        if bad.size:
-            i = bad[0]
-            raise DomainError(f"f({float(xs[i])}) = {float(vs[i])} is not positive; "
-                              "ln f undefined")
-        return np.log(vs)
+        values = np.asarray(f(xs), dtype=float)
+        _check_values(xs, values, positive=True)
+        return np.log(values)
 
     return _difference_campaign(g, grid, tol_scale, min_order=1)
+
+
+def _sampled(grid, width, calls, score):
+    """The report of grid.points**2 seeded draws of width uniforms u each, the first three
+    giving x, y in [lo, hi] and alpha in [0, 1), the witness.  They are drawn _DRAWS // width
+    at a time, and score(x, y, alpha, u) gives their slacks and tolerances for calls
+    evaluations per draw."""
+    rng = _LCG(grid.seed)
+    count = grid.points**2
+    per = _DRAWS // width
+    span = grid.hi - grid.lo
+
+    def chunk(m):
+        u = rng.uniforms(width * m).reshape(-1, width)
+        x, y, alpha = grid.lo + span * u[:, 0], grid.lo + span * u[:, 1], u[:, 2]
+        slack, tol = score(x, y, alpha, u)
+        return (slack + tol, slack, tol,
+                lambda k: (float(x[k]), float(y[k]), float(alpha[k])), calls * m)
+
+    chunks = (chunk(min(per, count - done)) for done in range(0, count, per))
+    return _lowest(chunks, (0.0, (grid.lo, grid.lo, 0.5), 0.0), grid.seed)  # points >= 1
 
 
 def check_log_convex(f, grid: GridSpec, tol_scale=1e3):
     """Seeded-random log-convexity test: ln f(ax+by) <= a ln f(x) + b ln f(y) + tol.
 
-    The 3 points^2 uniforms, (x, y, alpha) for each triple, are drawn _DRAWS at a time.
     f takes one float and returns one float: callers such as the benchmark's negative
-    control pass f written with math.exp, which an array call would break (ROADMAP
-    item 1a)."""
+    control pass f written with math.exp, which an array call would break (ROADMAP item
+    1a).  Its values stream into an array in the order x, y, ax+by of each triple."""
     _check_tol_scale(tol_scale)
-    best_margin = math.inf
-    best = (0.0, (grid.lo, grid.lo, 0.5), 0.0)
-    count = grid.points**2
-    span = grid.hi - grid.lo
-    rng = _LCG(grid.seed)
-    inf = math.inf
-    # floats taken one at a time: a list of all of them costs 0.35 MB of peak RSS at 64 points
-    draws = itertools.chain.from_iterable(
-        map(float, rng.uniforms(min(_DRAWS, 3 * count - done)))
-        for done in range(0, 3 * count, _DRAWS))
-    for ux, uy, alpha in zip(draws, draws, draws):
-        x = grid.lo + span * ux
-        y = grid.lo + span * uy
+
+    def score(x, y, alpha, _):
         beta = 1.0 - alpha
-        m = alpha * x + beta * y
-        lx, ly, lm = f(x), f(y), f(m)
-        if not (0.0 < lx < inf and 0.0 < ly < inf and 0.0 < lm < inf):
-            z, v = next(zv for zv in ((x, lx), (y, ly), (m, lm)) if not 0.0 < zv[1] < inf)
-            raise DomainError(f"f({z!r}) = {v!r} is not positive and finite")
-        lhs = math.log(lm)
-        rhs = alpha * math.log(lx) + beta * math.log(ly)
-        slack = rhs - lhs
-        tol = tol_scale * _EPS * max(1.0, abs(lhs), abs(rhs))
-        margin = slack + tol
-        if margin < best_margin:
-            best_margin = margin
-            best = (slack, (x, y, alpha), tol)
-    verdict = "pass" if best_margin >= 0.0 else "fail"
-    return MonotonicityReport(verdict, best[0], best[1], best[2], 3 * count, grid.seed)
+        zs = np.stack([x, y, alpha * x + beta * y], axis=-1).ravel()
+        values = np.fromiter(map(f, map(float, zs)), float, zs.size)
+        _check_values(zs, values, positive=True)
+        lx, ly, lhs = np.log(values).reshape(-1, 3).T
+        rhs = alpha * lx + beta * ly
+        return rhs - lhs, tol_scale * _EPS * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+    return _sampled(grid, 3, 3, score)
 
 
 def check_decreasing(f, grid: GridSpec, tol_scale=1e3):
     """Monotone decrease over the sorted grid: f(x_{i+1}) <= f(x_i) + tol."""
     _check_tol_scale(tol_scale)
     xs = grid.xs()
-    vals = [f(x) for x in xs]
-    for x, v in zip(xs, vals):
-        if not math.isfinite(v):
-            raise DomainError(f"f({float(x)!r}) = {float(v)!r} is not finite")
-    tol = tol_scale * _EPS * max(1.0, max(abs(v) for v in vals))
-    best_margin = math.inf
-    best = (0.0, (xs[0], 1, 0.0), tol)
-    for i in range(len(xs) - 1):
-        slack = vals[i] - vals[i + 1]
-        margin = slack + tol
-        if margin < best_margin:
-            best_margin = margin
-            best = (slack, (xs[i], 1, xs[i + 1] - xs[i]), tol)
-    verdict = "pass" if best_margin >= 0.0 else "fail"
-    return MonotonicityReport(verdict, best[0], best[1], best[2], len(xs), grid.seed)
+    values = np.fromiter(map(f, xs), float, len(xs))
+    _check_values(np.array(xs), values)
+    tol = tol_scale * _EPS * max(1.0, float(np.abs(values).max()))
+    slack = values[:-1] - values[1:]
+    chunk = (slack + tol, slack, tol, lambda k: (xs[k], 1, xs[k + 1] - xs[k]), len(xs))
+    return _lowest([chunk], (0.0, (xs[0], 1, 0.0), tol), grid.seed)

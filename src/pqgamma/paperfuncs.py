@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gammafam import log_gamma_pq
-from .monocheck import _LCG, GridSpec, MonotonicityReport, _check_tol_scale
+from .monocheck import _LCG, GridSpec, _check_tol_scale, _sampled
 from .psifam import psi_pq
 from .qcore import DomainError, PQParams, _exp, _positive_array
 
@@ -242,10 +242,6 @@ def _lemma(spec, ordered, psi_u, psi_v, which):
     return hyp, bc * psi_u - ef * psi_v <= _CONCLUSION_SLACK
 
 
-_YOUNG_TOL = 1e-14
-_YOUNG_CHUNK = 1024  # draws per numpy evaluation, which bounds the working set
-
-
 def _q_brackets(n, lq):
     """[n]_q elementwise from ln q, by q_bracket's formula in numpy."""
     if n.min() < 0:
@@ -257,31 +253,19 @@ def check_young_bracket(grid: GridSpec, tol_scale=1e3):
     """Lemma 2.1, [1+x]_q^alpha [1+y]_q^(1-alpha) <= [1+alpha x+(1-alpha) y]_q, at
     grid.points^2 seeded draws of x, y in [lo, hi], alpha in [0, 1), q in [0.05, 0.95).
 
-    The draws are evaluated with numpy, _YOUNG_CHUNK at a time, and the witness is
+    The draws are evaluated with numpy, _DRAWS // 4 at a time, and the witness is
     (x, y, alpha) of the first smallest slack rhs - lhs in draw order.  The tolerance is
     1e-14 at the default tol_scale of 1000 and scales with it."""
     _check_tol_scale(tol_scale)
-    tol = _YOUNG_TOL * (tol_scale / 1e3)
-    rng = _LCG(grid.seed)
-    span = grid.hi - grid.lo
-    best_slack = math.inf
-    witness = (0.0, 0.0, 0.0)
-    count = grid.points**2
-    for done in range(0, count, _YOUNG_CHUNK):
-        draws = rng.uniforms(4 * min(_YOUNG_CHUNK, count - done)).reshape(-1, 4)
-        x = grid.lo + span * draws[:, 0]
-        y = grid.lo + span * draws[:, 1]
-        alpha = draws[:, 2]
-        lq = np.log(0.05 + 0.9 * draws[:, 3])
+    tol = 1e-14 * (tol_scale / 1e3)
+
+    def score(x, y, alpha, u):
+        lq = np.log(0.05 + 0.9 * u[:, 3])
         beta = 1.0 - alpha
         lhs = _q_brackets(1.0 + x, lq) ** alpha * _q_brackets(1.0 + y, lq) ** beta
-        slack = _q_brackets(1.0 + alpha * x + beta * y, lq) - lhs
-        i = int(np.argmin(slack))  # the chunk's first smallest
-        if slack[i] < best_slack:
-            best_slack = float(slack[i])
-            witness = (float(x[i]), float(y[i]), float(alpha[i]))
-    verdict = "pass" if best_slack >= -tol else "fail"
-    return MonotonicityReport(verdict, best_slack, witness, tol, 2 * count, grid.seed)
+        return _q_brackets(1.0 + alpha * x + beta * y, lq) - lhs, tol
+
+    return _sampled(grid, 4, 2, score)
 
 
 _SEC4_GRID_POINTS = 21
@@ -289,20 +273,13 @@ _SEC4_TOL = 1e-10
 
 
 def _affine_columns(samples, seed):
-    """The seeded candidate specs of sample_affine_specs as one spec of (samples, 1) columns,
-    from the same draws: a, b, d, e, c, f take the uniforms of each sample in that order."""
+    """Seeded candidate six-real specs with ordered affine forms on [0,1], as one spec of
+    (samples, 1) columns: a, b, d, e, c, f take the uniforms of each sample in that order."""
     u = _LCG(seed).uniforms(6 * samples).reshape(-1, 6, 1)
     a = 0.2 + 2.8 * u[:, 0]
     b = 0.1 + 1.9 * u[:, 1]
     return AffineInequalitySpec(a, b, 0.1 + 1.9 * u[:, 4], a + 2.0 * u[:, 2], b + 2.0 * u[:, 3],
                                 0.1 + 1.9 * u[:, 5])
-
-
-def sample_affine_specs(samples, seed):
-    """Seeded stream of candidate six-real specs with ordered affine forms on [0,1]."""
-    cols = _affine_columns(samples, seed)
-    rows = np.hstack([cols.a, cols.b, cols.c, cols.d, cols.e, cols.f]).tolist()
-    return [AffineInequalitySpec(*row) for row in rows]
 
 
 def run_sec4_campaign(params, samples=1000, seed=42, tol_scale=1e3):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -36,16 +37,48 @@ _SHIFT = 10  # psi_classical recurs up to here, then takes its asymptotic series
 _M_MAX_TERMS = 10**6  # cap of the psi_pq_deriv m-series, which has no up-front term count
 
 
+@functools.lru_cache(maxsize=16)
+def _pole_radius(n):
+    """The x below which the n-th derivative of a psi function (n = 0: psi itself) may
+    overflow at its pole at 0, and above which it cannot.  Its terms and its value are at
+    most about n!/(x min(1, |ln q|))^{n+1}, and |ln q| >= 2^-53 for a float q != 1; the
+    radius is 4 (n!/max float)^{1/(n+1)} 2^53."""
+    return 4.0 * (math.factorial(n) / sys.float_info.max) ** (1.0 / (n + 1)) * 2.0**53
+
+
+_POLE = _pole_radius(0)  # 2.0e-292
+
+
+def _overflow(name, x):
+    return OverflowError(f"{name}({x!r}) overflows a float: x is too close to the pole at 0")
+
+
+def _pole_value(name, xs, evaluate):
+    """evaluate() at an x or an array xs below a pole radius: the value, bit for bit, where it
+    is finite, and OverflowError naming the first x where it is not, in place of an inf and
+    a RuntimeWarning."""
+    with np.errstate(divide="ignore", over="ignore"):
+        out = evaluate()
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise _overflow(name, float(np.ravel(xs)[bad[0]]))
+    return out
+
+
 def psi_pq(x, params: PQParams):
     """psi_{p,q}(x) = ln[p]_q + ln q * sum_{k=0}^{p} q^{x+k}/(1 - q^{x+k}).
 
     x may be a float or an array; each element of an array result equals the
-    float call at that element, bit for bit."""
+    float call at that element, bit for bit.  An element whose value overflows, near the
+    pole at 0, raises OverflowError."""
     xs = _positive_array(x)
     p, q = params.p, params.q
     lbp, ks, _ = _pq_constants(p, q)
     lq = math.log(q)
-    out = lbp - lq * _row_sums(_psi_terms, xs, ks, lq)
+    if (xs.min(initial=math.inf) if xs.ndim else x) < _POLE:
+        out = _pole_value("psi_pq", xs, lambda: lbp - lq * _row_sums(_psi_terms, xs, ks, lq))
+    else:
+        out = lbp - lq * _row_sums(_psi_terms, xs, ks, lq)
     return float(out) if out.ndim == 0 else out
 
 
@@ -156,10 +189,13 @@ def _psi_pq_deriv_rows(xs, params, n):
 def psi_p(x, p):
     """psi_p(x) = ln p - sum_{k=0}^{p} 1/(x+k) in O(1): the terms k < _SHIFT are summed with
     fsum, and the rest is psi(x+p+1) - psi(x+_SHIFT) (DLMF 5.5.2), both by psi_classical at
-    arguments >= _SHIFT, where it takes its asymptotic series at once."""
+    arguments >= _SHIFT, where it takes its asymptotic series at once.  It overflows where
+    its term 1/x does."""
     _check_x(x)
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise DomainError(f"p must be a positive integer, got {p!r}")
+    if x < _POLE and 1.0 / x == math.inf:
+        raise _overflow("psi_p", x)
     head = math.fsum(1.0 / (x + k) for k in range(min(p + 1, _SHIFT)))
     if p < _SHIFT:
         return math.log(p) - head
@@ -190,6 +226,12 @@ def psi_q(x, q):
     t r/(1-r); S is summed until that certified bound is <= 1e-14 * S."""
     _check_x(x)
     _check_q(q)
+    if x < _POLE:
+        return _pole_value("psi_q", x, lambda: _psi_q(x, q))
+    return _psi_q(x, q)
+
+
+def _psi_q(x, q):
     lr = -abs(math.log(q))  # ln r
     s = _geometric_series(_polylog_neg(0), x * lr, lr)[0]
     if q < 1.0:
@@ -211,6 +253,12 @@ def psi_q_deriv(x, q, order):
     _check_x(x)
     n = _check_order(order)
     _check_q(q)
+    if x < _pole_radius(n):
+        return _pole_value("psi_q_deriv", x, lambda: _psi_q_deriv(x, q, n))
+    return _psi_q_deriv(x, q, n)
+
+
+def _psi_q_deriv(x, q, n):
     lq = math.log(q)
     if q < 1.0:
         return lq ** (n + 1) * _geometric_series(_polylog_neg(n), x * lq, lq)[0]
@@ -222,8 +270,10 @@ def psi_q_deriv(x, q, order):
 
 def psi_classical(x):
     """Classical digamma by recurrence into the asymptotic region (x >= _SHIFT); psi_p
-    takes its tail from it."""
+    takes its tail from it.  It overflows where its term 1/x does."""
     _check_x(x)
+    if x < _POLE and 1.0 / x == math.inf:
+        raise _overflow("psi_classical", x)
     acc = []
     z = x
     while z < _SHIFT:

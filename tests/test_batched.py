@@ -30,10 +30,10 @@ from pqgamma.monocheck import (
     difference_table,
 )
 from pqgamma.paperfuncs import (
-    _YOUNG_CHUNK,
     AffineInequalitySpec,
     RatioSpec,
     TwoPointSpec,
+    _affine_columns,
     check_young_bracket,
     f1,
     f_theorem32,
@@ -42,7 +42,6 @@ from pqgamma.paperfuncs import (
     log_G_pq,
     phi,
     run_sec4_campaign,
-    sample_affine_specs,
 )
 from pqgamma.psifam import _M_ROWS, psi_pq, psi_pq_deriv
 from pqgamma.qcore import _SLICE, DomainError, PQParams, TruncationError, _exp
@@ -313,7 +312,8 @@ def test_an_overflowing_exponent_raises_overflow_error(name):
 def difference_campaign_loop(f, grid, tol_scale, min_order):
     """The sequential difference campaign, one scalar call of f per abscissa in (x, h, j)
     order and a strict < over (x, h, n): the reference for monocheck._difference_campaign.
-    The first value that is not finite, in that order, raises DomainError."""
+    The first cell (x, h) with a value that is not finite, or whose table overflows (a
+    tested order with a slack or a tolerance that is not finite), raises DomainError."""
     best_margin = math.inf
     best = (0.0, (grid.lo, 0, _STEPS[0]), 0.0)
     evaluations = 0
@@ -322,7 +322,7 @@ def difference_campaign_loop(f, grid, tol_scale, min_order):
             n_avail = min(_MAX_ORDER, int((grid.hi - x) / h + 1e-12))
             if n_avail < min_order:
                 continue
-            vals = [f(x + j * h) for j in range(n_avail + 1)]
+            vals = [float(f(x + j * h)) for j in range(n_avail + 1)]  # float ops overflow quietly
             for j, v in enumerate(vals):
                 if not math.isfinite(v):
                     raise DomainError(f"f({x + j * h!r}) = {float(v)!r} is not finite")
@@ -332,6 +332,9 @@ def difference_campaign_loop(f, grid, tol_scale, min_order):
             tol = tol_scale * _EPS * max(1.0, table_mag)
             for n in range(min_order, n_avail + 1):
                 s = (-1.0) ** n * rows[n][0]
+                if not (math.isfinite(s) and math.isfinite(tol)):
+                    raise DomainError(f"the difference table of f overflows at x = {x!r}, "
+                                      f"h = {h!r}")
                 margin = s + tol
                 if margin < best_margin:
                     best_margin = margin
@@ -357,7 +360,8 @@ P_STENCIL = PQParams(4, 0.49)
 G_SPEC = RatioSpec((1, 2), (1.5, 2.5))
 H_SPEC = TwoPointSpec(2.0, 1.0, 0.5)
 # (check, f at a float or an array, min_order); the f32 statement fails lcm, a NaN at x > 3
-# is a DomainError naming its abscissa, and a constant makes every margin a tie
+# is a DomainError naming its abscissa, as is an f whose tables overflow at x > 3 (it
+# alternates 1.7e308 and 1 on a 0.01 lattice), and a constant makes every margin a tie
 STENCIL_CASES = {
     "cm-psi-prime": (check_cm, lambda x: psi_pq_deriv(x, P_STENCIL, 1), 0),
     "cm-psi-prime-negated": (check_cm, lambda x: -psi_pq_deriv(x, P_STENCIL, 1), 0),
@@ -369,6 +373,8 @@ STENCIL_CASES = {
     "cm-increasing": (check_cm, lambda x: x * x, 0),
     "cm-constant": (check_cm, lambda x: 2.5 + 0.0 * x, 0),
     "cm-nan-above-3": (check_cm, lambda x: np.where(np.asarray(x) > 3.0, np.nan, 1.0 / x)[()], 0),
+    "cm-overflow-above-3": (check_cm, lambda x: np.where(
+        (np.asarray(x) > 3.0) & (np.round(np.asarray(x) * 100) % 2 == 0), 1.7e308, 1.0)[()], 0),
     "lcm-rational": (check_lcm, lambda x: 1.0 + 1.0 / x, 1),
 }
 GRIDS = st.builds(lambda lo, width, points, seed: GridSpec(lo, lo + width, points, seed),
@@ -419,7 +425,7 @@ class TestDifferenceCampaignReference:
         assert len(calls) == 1 and calls[0] == (report.evaluations,)
 
     @pytest.mark.parametrize("case", ["cm-rational", "cm-increasing", "cm-constant",
-                                      "cm-nan-above-3", "lcm-rational"])
+                                      "cm-nan-above-3", "cm-overflow-above-3", "lcm-rational"])
     def test_grids_of_several_blocks(self, case):
         check, f, min_order = STENCIL_CASES[case]
         calls = []
@@ -492,7 +498,8 @@ class TestUniforms:
     def test_equals_sequential_draws_across_chunks(self, seed):
         batched, single = _LCG(seed), _LCG(seed)
         # chunk sizes as check_young_bracket takes them, ending in a partial chunk
-        for n in (4 * _YOUNG_CHUNK, 4 * _YOUNG_CHUNK, 4 * 784, 0, 1, 3):
+        full = 4 * (monocheck._DRAWS // 4)
+        for n in (full, full, 4 * 784, 0, 1, 3):
             got = batched.uniforms(n)
             assert got.shape == (n,)
             assert np.array_equal(got, np.array([single.uniform() for _ in range(n)]))
@@ -542,11 +549,11 @@ class TestYoungBracketReference:
         assert report.evaluations == 2 * points**2
 
     def test_ties_keep_the_first_draw(self):
-        # [1 + x]_q = 1 for every x in [0, 1e-300], so each of the 40^2 draws, over two
+        # [1 + x]_q = 1 for every x in [0, 1e-300], so each of the 56^2 draws, over two
         # chunks, has slack 0
-        grid = GridSpec(0.0, 1e-300, points=40, seed=7)
+        grid = GridSpec(0.0, 1e-300, points=56, seed=7)
         report = check_young_bracket(grid)
-        assert report.min_slack == 0.0 and grid.points**2 > _YOUNG_CHUNK
+        assert report.min_slack == 0.0 and grid.points**2 > monocheck._DRAWS // 4
         assert (report.verdict, report.min_slack, report.witness) == young_bracket_loop(grid)
         rng = _LCG(7)
         assert report.witness == (1e-300 * rng.uniform(), 1e-300 * rng.uniform(), rng.uniform())
@@ -603,9 +610,9 @@ class TestLogConvexReference:
         assert report.verdict == verdict
         assert [type(w) for w in report.witness] == [float, float, float]
 
-    # 70 points draw over two chunks of _DRAWS; a chunk of 5 splits triples between calls
+    # 70 points draw over two chunks of _DRAWS // 3 triples; _DRAWS = 8 takes 2 triples a call
     @pytest.mark.parametrize("draws, points", [(monocheck._DRAWS, 64), (monocheck._DRAWS, 70),
-                                               (5, 9)])
+                                               (8, 9)])
     def test_draws_in_chunks(self, draws, points, monkeypatch):
         f = lambda x: math.exp(log_gamma_pq(x, P_LOG_CONVEX))  # noqa: E731
         grid = GridSpec(0.5, 8.0, points=points, seed=677212)
@@ -614,7 +621,8 @@ class TestLogConvexReference:
         monkeypatch.setattr(monocheck, "_DRAWS", draws)
         monkeypatch.setattr(_LCG, "uniforms", lambda rng, n: sizes.append(n) or uniforms(rng, n))
         report = check_log_convex(f, grid)
-        assert sum(sizes) == 3 * points**2 and len(sizes) == -(-3 * points**2 // draws)
+        per = draws // 3  # whole triples per call
+        assert sizes == [3 * min(per, points**2 - done) for done in range(0, points**2, per)]
         assert report == log_convex_loop(f, grid)
 
 
@@ -635,16 +643,16 @@ def affine_specs_loop(samples, seed):
 
 @pytest.mark.parametrize("samples, seed", [(1, 42), (300, 7), (1000, 677212)])
 def test_sampled_specs_equal_the_sequential_draws(samples, seed):
-    specs = sample_affine_specs(samples, seed)
-    assert specs == affine_specs_loop(samples, seed)
-    assert all(type(v) is float for spec in specs[:3] for v in vars(spec).values())
+    columns = _affine_columns(samples, seed)
+    rows = np.hstack([getattr(columns, name) for name in "abcdef"]).tolist()
+    assert [AffineInequalitySpec(*row) for row in rows] == affine_specs_loop(samples, seed)
 
 
 def sec4_loop(params, samples, seed):
     """The sequential section 4 loop, endpoints' self-comparisons skipped."""
     xs = [i / 20 for i in range(21)]
     best_slack, witness, qualified = math.inf, (0.0, 0.0, 0.0), 0
-    for spec in sample_affine_specs(samples, seed):
+    for spec in affine_specs_loop(samples, seed):
         if not any(all(lemma_sign_check(spec, params, x, which).hypotheses_hold for x in xs)
                    for which in ("L42", "L43")):
             continue

@@ -11,7 +11,7 @@ import pytest
 from pqgamma import cli
 from pqgamma.cli import build_parser, gaps_nonincreasing, limit_rows, main
 from pqgamma.gammafam import log_gamma_q
-from pqgamma.paperfuncs import run_sec4_campaign, sample_affine_specs
+from pqgamma.paperfuncs import _affine_columns, run_sec4_campaign
 from pqgamma.psifam import psi_q
 from pqgamma.qcore import PQParams
 
@@ -403,8 +403,11 @@ class TestRecordLayout:
 
 class TestSec4Sampling:
     def test_sampler_is_seeded(self):
-        assert sample_affine_specs(5, 3) == sample_affine_specs(5, 3)
-        assert sample_affine_specs(5, 3) != sample_affine_specs(5, 4)
+        def draws(samples, seed):
+            return np.hstack([getattr(_affine_columns(samples, seed), name) for name in "abcdef"])
+
+        assert np.array_equal(draws(5, 3), draws(5, 3))
+        assert not np.array_equal(draws(5, 3), draws(5, 4))
 
     def test_campaign_counts_are_consistent(self):
         result = run_sec4_campaign(PQParams(3, 0.5), samples=100, seed=42)
@@ -575,6 +578,17 @@ def test_a_non_finite_campaign_value_exits_2(capsys, monkeypatch, campaign, name
     assert code == 2
     assert out == ""
     assert f") = {value}" in err
+
+
+def test_an_overflowing_difference_table_exits_2(capsys, monkeypatch):
+    # G alternates 1.7e308 and 1 on the 0.01 lattice: finite values whose difference table
+    # overflows, which would otherwise give inf tolerances and NaN margins
+    monkeypatch.setattr(cli, "log_G_pq", lambda x, *rest: np.where(
+        np.round(np.asarray(x) * 100) % 2 == 0, math.log(1.7e308), 0.0)[()])
+    code, out, err = run(capsys, *BASE_ARGV["verify"]("cm-G"), "--points", "4")
+    assert code == 2
+    assert out == ""
+    assert "the difference table of f overflows at x = 0.5, h = 0.01" in err
 
 
 def _readme_defaults():

@@ -1,13 +1,16 @@
-"""The paper's claims on the (p,q) lattice, through the CLI at --points 128.
+"""The paper's claims on the (p,q) lattice, through the CLI at --points 128, and the
+benchmark's two negative controls at the lattice corners.
 
 The campaigns here are the ones that log_gamma_pq drives.  cm-psi-prime is left
 out: its m-series error fails the claim at q >= 0.99 (ROADMAP item 2).
 """
 
 import json
+import math
 
 import pytest
 
+from pqgamma import GridSpec, PQParams, check_cm, check_log_convex, log_gamma_pq, psi_pq_deriv
 from pqgamma.cli import main
 
 LATTICE = [(p, q) for p in (4, 100, 1000) for q in (0.5, 0.9, 0.99, 0.999)]
@@ -39,3 +42,20 @@ def test_every_claim_passes(capsys, campaign, p, q):
         assert records["as_defined"]["verdict"] == "fail"
     else:
         assert [r["verdict"] for r in records.values()] == ["pass"]
+
+
+# the benchmark's negative controls, each of (p, q): -psi'_{p,q} is not CM and 1/Gamma_{p,q}
+# is not log-convex
+CONTROLS = {
+    "cm-minus-psi-prime": lambda P: check_cm(lambda x: -psi_pq_deriv(x, P, 1),
+                                             GridSpec(0.5, 6.0, 32)),
+    "logconvex-reciprocal-gamma": lambda P: check_log_convex(
+        lambda x: math.exp(-log_gamma_pq(x, P)), GridSpec(0.5, 8.0, 32)),
+}
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in (4, 1000) for q in (0.5, 0.999)])
+@pytest.mark.parametrize("control", sorted(CONTROLS))
+def test_negative_controls_fail_at_the_corners(control, p, q):
+    report = CONTROLS[control](PQParams(p, q))
+    assert report.verdict == "fail" and report.min_slack < -0.5

@@ -1,6 +1,8 @@
 import math
+import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 from pqgamma.gammafam import log_gamma_p, log_gamma_pq, log_gamma_q
@@ -209,3 +211,29 @@ class TestPsiDiagram:
         gaps = [abs(psi_p(x, p) - target) for p in (100, 10000, 1000000)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-5
+
+
+# (function of x, derivative order n): near its pole at 0 each is about (-1)^{n+1} n!/x^{n+1}
+POLE_CASES = {
+    "psi_pq": (lambda x: psi_pq(x, PQParams(3, 0.5)), 0),
+    "psi_pq-array": (lambda x: psi_pq(np.array([1.0, x]), PQParams(3, 0.5))[1], 0),
+    "psi_q-0.5": (lambda x: psi_q(x, 0.5), 0),
+    "psi_q-2": (lambda x: psi_q(x, 2.0), 0),
+    "psi_p": (lambda x: psi_p(x, 3), 0),
+    "psi_p-20": (lambda x: psi_p(x, 20), 0),
+    "psi_classical": (psi_classical, 0),
+    "psi_q_deriv": (lambda x: psi_q_deriv(x, 0.5, 1), 1),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [1e-160, 1e-300, 1e-320])
+@pytest.mark.parametrize("name", sorted(POLE_CASES))
+def test_near_the_pole_a_value_is_finite_or_overflows(name, x):
+    f, n = POLE_CASES[name]
+    ref = (-1) ** (n + 1) * mpmath.factorial(n) / mpmath.mpf(x) ** (n + 1)
+    if abs(ref) > sys.float_info.max:
+        with pytest.raises(OverflowError, match="pole at 0"):
+            f(x)
+    else:
+        assert f(x) == pytest.approx(float(ref), rel=1e-12)
